@@ -608,24 +608,6 @@ let bench_json ~quick () =
             ("retries", Json.Int (Telemetry.counter_value c_retries));
             ("fallbacks", Json.Int (Telemetry.counter_value c_fallbacks));
             ("escalations", Json.Int (Telemetry.counter_value c_escalations));
-            ( "proc",
-              Json.Obj
-                (List.map
-                   (fun n ->
-                     ( n,
-                       Json.Int
-                         (Telemetry.counter_value
-                            (Telemetry.counter ("proc." ^ n))) ))
-                   [ "workers_spawned"; "worker_failures" ]) );
-            ( "race",
-              Json.Obj
-                (List.map
-                   (fun n ->
-                     ( n,
-                       Json.Int
-                         (Telemetry.counter_value
-                            (Telemetry.counter ("race." ^ n))) ))
-                   [ "runs"; "wins" ]) );
             ( "session",
               Json.Obj
                 (List.map

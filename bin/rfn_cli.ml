@@ -21,11 +21,7 @@ let load path =
   | Sys_error msg -> Error msg
 
 let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
-    ~inject ~race ~checkpoint ~resume =
-  let proc =
-    if race then { (Rfn_proc.Proc.policy_of_env ()) with Rfn_proc.Proc.enabled = true }
-    else Rfn_proc.Proc.policy_of_env ()
-  in
+    ~inject ~checkpoint ~resume =
   {
     Rfn.default_config with
     Rfn.max_seconds;
@@ -34,7 +30,6 @@ let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
     engines;
     analyze;
     inject;
-    proc;
     checkpoint;
     resume;
   }
@@ -179,16 +174,6 @@ let verify_cmd =
   in
   let baseline = Arg.(value & flag & info [ "baseline" ]
                         ~doc:"Also run plain COI model checking.") in
-  let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Run concretization and the refinement re-check as races over \
-             process-isolated engine workers (first conclusive answer wins, \
-             losers are cancelled). Equivalent to $(b,RFN_RACE=1); worker \
-             knobs come from the $(b,RFN_PROC_*) environment variables.")
-  in
   let checkpoint =
     Arg.(
       value
@@ -218,7 +203,7 @@ let verify_cmd =
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
   let run netlist prop seconds nodes iters engines analyze trace_out baseline
-      race checkpoint resume inject_faults lint metrics_out chrome_trace
+      checkpoint resume inject_faults lint metrics_out chrome_trace
       profile verbose =
     setup_logs verbose;
     match load netlist with
@@ -260,7 +245,7 @@ let verify_cmd =
         with_telemetry ~profile @@ fun () ->
         let config =
           config_of ~max_seconds:seconds ~node_limit:nodes
-            ~max_iterations:iters ~engines ~analyze ~inject ~race ~checkpoint
+            ~max_iterations:iters ~engines ~analyze ~inject ~checkpoint
             ~resume
         in
         let outcome, stats = Rfn.verify ~config circuit property in
@@ -312,7 +297,7 @@ let verify_cmd =
        ~doc:"Verify that an output signal can never be driven to 1.")
     Term.(
       const run $ netlist $ prop $ seconds $ nodes $ iters $ engines_arg
-      $ analyze_arg $ trace_out $ baseline $ race $ checkpoint $ resume
+      $ analyze_arg $ trace_out $ baseline $ checkpoint $ resume
       $ inject_faults $ lint_arg $ metrics_out_arg $ trace_out_arg
       $ profile_arg $ verbose)
 
@@ -736,16 +721,8 @@ let serve_cmd =
              resume from it when present — a restarted server continues \
              killed jobs at their last completed refinement.")
   in
-  let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Run each job's concretization and refinement re-check as races \
-             over process-isolated engine workers, as in $(b,verify --race).")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run socket max_sessions max_nodes checkpoint_dir engines analyze race
+  let run socket max_sessions max_nodes checkpoint_dir engines analyze
       metrics_out chrome_trace profile verbose =
     setup_logs verbose;
     match setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile () with
@@ -759,7 +736,7 @@ let serve_cmd =
           ~max_seconds:Rfn.default_config.Rfn.max_seconds
           ~node_limit:Rfn.default_config.Rfn.node_limit
           ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines
-          ~analyze ~inject:None ~race ~checkpoint:None ~resume:false
+          ~analyze ~inject:None ~checkpoint:None ~resume:false
       in
       let limits =
         { Rfn_serve.Server.max_sessions = max 1 max_sessions; max_nodes }
@@ -786,7 +763,7 @@ let serve_cmd =
           failure, per-job counters and provenance).")
     Term.(
       const run $ socket $ max_sessions $ max_nodes $ checkpoint_dir
-      $ engines_arg $ analyze_arg $ race $ metrics_out_arg $ trace_out_arg
+      $ engines_arg $ analyze_arg $ metrics_out_arg $ trace_out_arg
       $ profile_arg $ verbose)
 
 (* ---- rfn explain ---------------------------------------------------- *)

@@ -20,7 +20,6 @@ let c_sup_fallbacks = Telemetry.counter "supervisor.fallbacks"
 let c_sup_injected = Telemetry.counter "supervisor.injected_faults"
 let c_sat_learned = Telemetry.counter "sat.learned"
 let c_atpg_backtracks = Telemetry.counter "atpg.backtracks"
-let c_worker_failures = Telemetry.counter "proc.worker_failures"
 let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
 
 type engines = Atpg_only | Sat_only | Portfolio
@@ -48,6 +47,19 @@ let engines_of_env () =
       Printf.eprintf "RFN_ENGINE ignored: %s\n%!" msg;
       Atpg_only)
 
+(* Engine selection, in one place: the falsification engines a site
+   tries for [engines], in order, as supervisor rungs — the first of
+   kind [first], the rest fallbacks. Also returns the failure
+   attribution of the first engine. Adding or removing an engine edits
+   this function only. *)
+let engine_ladder engines ~first ~atpg ~sat =
+  let rung kind (label, thunk) = (kind, label, thunk) in
+  match engines with
+  | Atpg_only -> (F.Seq_atpg, [ rung first atpg ])
+  | Sat_only -> (F.Sat, [ rung first sat ])
+  | Portfolio ->
+    (F.Seq_atpg, [ rung first atpg; rung Supervisor.Fallback sat ])
+
 type config = {
   max_iterations : int;
   node_limit : int;
@@ -70,7 +82,6 @@ type config = {
       (* validate cross-artifact invariants (varmap totality, trace
          shape, cone-cache consistency) at every phase boundary;
          defaults to the RFN_CHECK environment flag *)
-  proc : Rfn_proc.Proc.policy;
   checkpoint : string option;
   resume : bool;
   job_id : string;
@@ -94,7 +105,6 @@ let default_config =
     inject = None;
     session = Session.default_policy;
     check_invariants = Rfn_lint.Check.env_enabled ();
-    proc = Rfn_proc.Proc.policy_of_env ();
     checkpoint = None;
     resume = false;
     job_id = "";
@@ -308,7 +318,6 @@ let verify_in_session ?(config = default_config) session prop =
       let injected0 = Telemetry.counter_value c_sup_injected in
       let learned0 = Telemetry.counter_value c_sat_learned in
       let backtracks0 = Telemetry.counter_value c_atpg_backtracks in
-      let worker_failures0 = Telemetry.counter_value c_worker_failures in
       let record ?cut_size ?(no_cut = 0) ?(min_cut = 0) ?trace_length
           ?(candidates = 0) ?(added = 0) ?(cubes = 0) ?(guidance = 0)
           ?(engine = "") ?(concretize = "none") ?(promoted = []) ?regs_after
@@ -346,8 +355,6 @@ let verify_in_session ?(config = default_config) session prop =
             retries = Telemetry.counter_value c_sup_retries - retries0;
             fallbacks = Telemetry.counter_value c_sup_fallbacks - fallbacks0;
             injected = Telemetry.counter_value c_sup_injected - injected0;
-            worker_failures =
-              Telemetry.counter_value c_worker_failures - worker_failures0;
             bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
             bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
             sat_learned = Telemetry.counter_value c_sat_learned - learned0;
@@ -540,7 +547,7 @@ let verify_in_session ?(config = default_config) session prop =
             (* Step 3: search on the original design. A failure here is
                never fatal — an injected or resource failure degrades to
                a give-up, which escalates the backtrack budget for the
-               next iteration and refines. Ladder per [config.engines]:
+               next iteration and refines. Ladder per [engine_ladder]:
                a give-up is an [Error], so in portfolio mode an ATPG
                give-up escalates to SAT-guided BMC at the same depth
                before the loop settles for refinement. *)
@@ -567,51 +574,8 @@ let verify_in_session ?(config = default_config) session prop =
               as_rung outcome
             in
             let concretize_engine, concretize_rungs =
-              match config.engines with
-              | Atpg_only ->
-                (F.Seq_atpg, [ (Supervisor.Primary, "guided-atpg", atpg_rung) ])
-              | Sat_only ->
-                (F.Sat, [ (Supervisor.Primary, "guided-sat", sat_rung) ])
-              | Portfolio ->
-                ( F.Seq_atpg,
-                  [
-                    (Supervisor.Primary, "guided-atpg", atpg_rung);
-                    (Supervisor.Fallback, "guided-sat", sat_rung);
-                  ] )
-            in
-            (* With the worker pool enabled the portfolio becomes a
-               genuine race: both engines run concurrently in isolated
-               processes and the first conclusive answer wins. The
-               in-process rungs stay on the ladder as fallbacks, so a
-               crashed, hung or babbling worker degrades to the
-               sequential portfolio instead of changing the verdict. *)
-            let concretize_rungs =
-              if not config.proc.Rfn_proc.Proc.enabled then concretize_rungs
-              else begin
-                let race_rung () =
-                  let limits =
-                    Supervisor.concrete_limits sup config.concrete_atpg
-                  in
-                  let engines =
-                    match config.engines with
-                    | Atpg_only -> [ `Atpg ]
-                    | Sat_only -> [ `Sat ]
-                    | Portfolio -> [ `Atpg; `Sat ]
-                  in
-                  match
-                    Racing.concretize ?deadline:limits.Atpg.max_seconds
-                      ~policy:config.proc ~engines ~limits circuit ~bad
-                      ~abstract_traces:guidance
-                  with
-                  | Ok outcome -> as_rung outcome
-                  | Error r -> Error r
-                in
-                (Supervisor.Primary, "race", race_rung)
-                :: List.map
-                     (fun (_, label, thunk) ->
-                       (Supervisor.Fallback, label, thunk))
-                     concretize_rungs
-              end
+              engine_ladder config.engines ~first:Supervisor.Primary
+                ~atpg:("guided-atpg", atpg_rung) ~sat:("guided-sat", sat_rung)
             in
             let concrete =
               Telemetry.with_span "rfn.concretize" ~attrs (fun () ->
@@ -705,46 +669,10 @@ let verify_in_session ?(config = default_config) session prop =
                 | Bmc.Exhausted, _ -> Error F.No_refinement
                 | Bmc.Gave_up _, _ -> Error F.Conflicts
               in
-              let recheck_rungs =
-                match config.engines with
-                | Atpg_only ->
-                  [ (Supervisor.Fallback, "bmc-recheck", bmc_recheck) ]
-                | Sat_only ->
-                  [ (Supervisor.Fallback, "sat-bmc-recheck", sat_recheck) ]
-                | Portfolio ->
-                  [
-                    (Supervisor.Fallback, "bmc-recheck", bmc_recheck);
-                    (Supervisor.Fallback, "sat-bmc-recheck", sat_recheck);
-                  ]
-              in
-              (* the raced re-check runs first; the in-process twins
-                 remain below it as the no-worker fallback *)
-              let recheck_rungs =
-                if not config.proc.Rfn_proc.Proc.enabled then recheck_rungs
-                else begin
-                  let race_recheck () =
-                    let limits =
-                      Supervisor.concrete_limits sup config.concrete_atpg
-                    in
-                    let engines =
-                      match config.engines with
-                      | Atpg_only -> [ `Bmc ]
-                      | Sat_only -> [ `Sat ]
-                      | Portfolio -> [ `Bmc; `Sat ]
-                    in
-                    match
-                      Racing.falsify ?deadline:limits.Atpg.max_seconds
-                        ~policy:config.proc ~engines ~limits circuit ~bad
-                        ~max_depth:(Trace.length abstract_trace)
-                    with
-                    | Ok (Bmc.Found t) -> Ok (`Cex t)
-                    | Ok Bmc.Exhausted -> Error F.No_refinement
-                    | Ok (Bmc.Gave_up _) -> Error F.Backtracks
-                    | Error r -> Error r
-                  in
-                  (Supervisor.Fallback, "race-recheck", race_recheck)
-                  :: recheck_rungs
-                end
+              let _, recheck_rungs =
+                engine_ladder config.engines ~first:Supervisor.Fallback
+                  ~atpg:("bmc-recheck", bmc_recheck)
+                  ~sat:("sat-bmc-recheck", sat_recheck)
               in
               let refine_rungs =
                 (Supervisor.Primary, "crucial-registers", crucial)

@@ -66,7 +66,10 @@ type config = {
           the paper's future-work multi-trace guidance) *)
   engines : engines;
       (** which Step-3/Step-4 falsification engines run, and in what
-          order (default {!engines_of_env}, i.e. [RFN_ENGINE] or
+          order: both the concretization ladder and the empty-refinement
+          BMC re-check are built from this one selection, so engines
+          only ever cover for each other as successive supervisor rungs
+          (default {!engines_of_env}, i.e. [RFN_ENGINE] or
           {!Atpg_only}) *)
   analyze : bool;
       (** run the static invariant-inference pre-flight
@@ -95,14 +98,6 @@ type config = {
           refinement; a violation aborts with a structured
           [Invariant] failure. Defaults to the [RFN_CHECK]
           environment flag ({!Rfn_lint.Check.env_enabled}) *)
-  proc : Rfn_proc.Proc.policy;
-      (** worker-pool policy: when [enabled], Step 3 and the
-          empty-refinement re-check run as races over isolated worker
-          processes ({!Racing}), with the in-process engines demoted
-          to fallback rungs — a worker crash, hang, memory blow-up or
-          protocol violation degrades to the sequential portfolio and
-          can never change the verdict. Defaults to
-          {!Rfn_proc.Proc.policy_of_env} ([RFN_RACE] etc.) *)
   checkpoint : string option;
       (** when set, serialize the loop state to this file at every
           iteration boundary (atomic write, keyed by a netlist

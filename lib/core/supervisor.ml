@@ -28,7 +28,7 @@ let site_of_string = function
           concretize or refine)"
          s)
 
-type fault = Fail | Delay of float | Worker of Rfn_proc.Proc.worker_fault
+type fault = Fail | Delay of float
 type kind = Primary | Retry | Fallback
 
 type policy = {
@@ -73,13 +73,7 @@ let inject_of_spec spec =
           [ Abstract_mc; Hybrid_extract; Concretize; Refine ]
       else
         String.split_on_char ',' spec
-        |> List.map (fun tok ->
-               let tok = String.trim tok in
-               (* worker faults target the racing site: the next worker
-                  spawned by a concretization race suffers the fault *)
-               match Rfn_proc.Proc.worker_fault_of_string tok with
-               | Some f -> (Concretize, Worker f)
-               | None -> (site_of_string tok, Fail))
+        |> List.map (fun tok -> (site_of_string (String.trim tok), Fail))
     in
     (* Once per entry per hook: the first consultation at the entry's
        site faults, every later one (the retry/fallback rungs of the
@@ -167,8 +161,8 @@ let escalate t =
 
 (* An injected delay must respect the deadline, or the grace-period
    guarantee would be voided by the harness itself. [Unix.sleepf] can
-   return early when a signal lands (the worker pool's SIGCHLD, a
-   profiler's SIGALRM), so loop until the intended wake-up time. *)
+   return early when a handled signal lands (a profiler's SIGALRM, for
+   one), so loop until the intended wake-up time. *)
 let sleep_within t s =
   let s = match time_left t with None -> s | Some r -> Float.min s r in
   let wake = Telemetry.now () +. s in
@@ -210,12 +204,6 @@ let run t ~site ~engine ~phase ~iteration rungs =
             Telemetry.incr c_injected;
             sleep_within t s;
             thunk ()
-          | Some (Worker f) ->
-            (* arm the pool's one-shot slot: the next worker spawned
-               inside the rung suffers the fault; a rung that spawns no
-               worker is unaffected (the slot is cleared on exit) *)
-            Telemetry.incr c_injected;
-            Rfn_proc.Proc.with_injected f thunk
           | None -> thunk ()
         in
         match result with

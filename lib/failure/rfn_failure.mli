@@ -40,18 +40,6 @@ type resource =
   | Iterations  (** CEGAR iteration bound *)
   | No_refinement  (** no crucial registers found — the loop is stuck *)
   | Injected  (** a fault-injection hook forced this failure *)
-  | Worker_crashed
-      (** an isolated engine worker process died (signal or nonzero
-          exit) before producing a result *)
-  | Worker_timeout
-      (** the watchdog killed a worker that missed its hard wall-clock
-          deadline or stopped heartbeating *)
-  | Worker_oom
-      (** the watchdog killed a worker whose resident set exceeded the
-          configured cap *)
-  | Worker_garbage
-      (** a worker's output violated the wire protocol (unparseable or
-          failed re-validation) — treated as a crash, never trusted *)
   | Invariant of string
       (** an internal invariant slipped; degraded to a reported failure
           instead of a crash (the message is diagnostic only — nothing
@@ -75,10 +63,7 @@ val retryable_resource : resource -> bool
     with different resources: node, backtrack and cube budgets can be
     raised, an empty refinement admits a coarser fallback heuristic, an
     injected fault simulates one of those, and an invariant slip may be
-    avoided by a different engine. Every [Worker_*] failure is
-    retryable by construction — a dead, hung, bloated or babbling
-    worker says nothing about the query itself, so the supervisor falls
-    back to the in-process rungs. [Time], [Steps] and [Iterations] are
+    avoided by a different engine. [Time], [Steps] and [Iterations] are
     terminal: more of the same will not help. *)
 
 val retryable : t -> bool
@@ -100,11 +85,5 @@ val to_attrs : t -> (string * Rfn_obs.Json.t) list
     [engine], [phase], [resource], [iteration], [retries]. *)
 
 val resource_tag : resource -> string
-(** Stable machine-friendly tag (no spaces), e.g. ["worker_timeout"];
-    also the wire encoding of a resource in the worker protocol.
+(** Stable machine-friendly tag (no spaces), e.g. ["backtracks"].
     [Invariant _] tags as ["invariant"], dropping its message. *)
-
-val resource_of_tag : string -> resource option
-(** Inverse of {!resource_tag} for every message-free constructor;
-    [None] for unknown tags and for ["invariant"] (whose message cannot
-    be recovered from the tag alone). *)

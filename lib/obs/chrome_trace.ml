@@ -8,13 +8,13 @@ let emit t fields =
     Json.to_channel t.oc (Json.Obj fields)
   end
 
-let base ?(tid = 1) ~ph ~name ~ts () =
+let base ~ph ~name ~ts () =
   [
     ("name", Json.Str name);
     ("ph", Json.Str ph);
     ("ts", Json.Float (us_of_seconds ts));
     ("pid", Json.Int 1);
-    ("tid", Json.Int tid);
+    ("tid", Json.Int 1);
   ]
 
 let create file =
@@ -34,8 +34,8 @@ let create file =
 let with_args args fields =
   match args with [] -> fields | args -> fields @ [ ("args", Json.Obj args) ]
 
-let complete t ~name ?cat ?tid ~ts ~dur ?(args = []) () =
-  let fields = base ?tid ~ph:"X" ~name ~ts () in
+let complete t ~name ?cat ~ts ~dur ?(args = []) () =
+  let fields = base ~ph:"X" ~name ~ts () in
   let fields =
     match cat with
     | None -> fields
@@ -43,25 +43,15 @@ let complete t ~name ?cat ?tid ~ts ~dur ?(args = []) () =
   in
   emit t (with_args args (fields @ [ ("dur", Json.Float (dur *. 1e6)) ]))
 
-let instant t ~name ?tid ~ts ?(args = []) () =
+let instant t ~name ~ts ?(args = []) () =
   (* "s":"t" scopes the marker to the thread track *)
-  emit t (with_args args (base ?tid ~ph:"i" ~name ~ts () @ [ ("s", Json.Str "t") ]))
+  emit t (with_args args (base ~ph:"i" ~name ~ts () @ [ ("s", Json.Str "t") ]))
 
 let counter t ~name ~ts series =
   emit t
     (base ~ph:"C" ~name ~ts ()
     @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) series)) ]
     )
-
-let thread_name t ~tid name =
-  emit t
-    [
-      ("name", Json.Str "thread_name");
-      ("ph", Json.Str "M");
-      ("pid", Json.Int 1);
-      ("tid", Json.Int tid);
-      ("args", Json.Obj [ ("name", Json.Str name) ]);
-    ]
 
 let close t =
   if not t.closed then begin

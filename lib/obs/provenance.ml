@@ -15,7 +15,6 @@ type t = {
   retries : int;
   fallbacks : int;
   injected : int;
-  worker_failures : int;
   bdd_nodes : int;
   bdd_peak : int;
   sat_learned : int;
@@ -47,7 +46,6 @@ let to_fields p =
     ("retries", Json.Int p.retries);
     ("fallbacks", Json.Int p.fallbacks);
     ("injected", Json.Int p.injected);
-    ("worker_failures", Json.Int p.worker_failures);
     ("bdd_nodes", Json.Int p.bdd_nodes);
     ("bdd_peak", Json.Int p.bdd_peak);
     ("sat_learned", Json.Int p.sat_learned);
@@ -108,15 +106,6 @@ let of_json j =
   let* retries = int "retries" in
   let* fallbacks = int "fallbacks" in
   let* injected = int "injected" in
-  (* added after the first release of the record: absent in old files *)
-  let* worker_failures =
-    match field "worker_failures" with
-    | None -> Ok 0
-    | Some v -> (
-      match Json.to_int v with
-      | Some n -> Ok n
-      | None -> missing "worker_failures")
-  in
   let* bdd_nodes = int "bdd_nodes" in
   let* bdd_peak = int "bdd_peak" in
   let* sat_learned = int "sat_learned" in
@@ -127,7 +116,7 @@ let of_json j =
     {
       iter; regs_before; regs_after; model_inputs; fixpoint_steps;
       trace_depth; cut_size; cubes; guidance; engine; concretize; promoted;
-      candidates; retries; fallbacks; injected; worker_failures; bdd_nodes;
+      candidates; retries; fallbacks; injected; bdd_nodes;
       bdd_peak; sat_learned; backtracks; seconds; outcome;
     }
 
@@ -162,9 +151,6 @@ let pp ppf p =
       p.fallbacks
       (if p.fallbacks = 1 then "" else "s")
       p.injected;
-  if p.worker_failures > 0 then
-    Format.fprintf ppf "; %d worker failure%s" p.worker_failures
-      (if p.worker_failures = 1 then "" else "s");
   Format.fprintf ppf "; bdd %d live / %d peak nodes" p.bdd_nodes p.bdd_peak;
   if p.sat_learned > 0 then
     Format.fprintf ppf "; sat +%d learned" p.sat_learned;

@@ -182,28 +182,6 @@ val detach : unit -> unit
     file, and close both. Safe to call with no sink attached (and
     called again from the exit hook); does not change {!enabled}. *)
 
-val abandon_sinks : unit -> unit
-(** Forget any attached sinks {e without} flushing or closing them.
-    For forked worker processes only: a child shares the parent's file
-    descriptors and buffered bytes, so flushing or closing from the
-    child would corrupt the parent's output. Call immediately after
-    [Unix.fork] in the child, before any engine work. *)
-
-val trace_complete :
-  ?tid:int ->
-  name:string ->
-  ?args:(string * Json.t) list ->
-  start:float ->
-  dur:float ->
-  unit ->
-  unit
-(** Emit a complete ("X") slice directly on the trace sink (no-op
-    without one), on lane [tid]: the worker pool draws one lane per
-    engine process. [start] is a {!now} timestamp. *)
-
-val trace_thread_name : tid:int -> string -> unit
-(** Name a trace lane (no-op without a trace sink). *)
-
 val event : string -> (string * Json.t) list -> unit
 (** Emit a custom event line [{"ev":name, ...fields}] to the JSONL
     sink and an instant marker to the trace sink, whichever are

@@ -140,16 +140,24 @@ let of_json j =
         provenance;
       }
 
+(* A directory opens fine and fails only when measured or read, so
+   every read is inside the handler and the channel is closed on all
+   paths. *)
 let load file =
   match open_in file with
   | exception Sys_error msg -> Error msg
   | ic -> (
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in_noerr ic;
-    match Json.of_string contents with
-    | exception Failure msg -> Error ("malformed checkpoint JSON: " ^ msg)
-    | j -> of_json j)
+    match
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with
+    | exception Sys_error msg -> Error msg
+    | exception End_of_file -> Error ("truncated checkpoint " ^ file)
+    | contents -> (
+      match Json.of_string contents with
+      | exception Failure msg -> Error ("malformed checkpoint JSON: " ^ msg)
+      | j -> of_json j))
 
 let validate ?(job_id = "") t ~netlist_hash ~property =
   if t.netlist_hash <> netlist_hash then

@@ -63,8 +63,9 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 (** Read and parse [file]; [Error] describes what is wrong (missing
-    file, malformed JSON, missing field, unsupported version) without
-    raising. *)
+    or unreadable file, a directory, malformed JSON, missing field,
+    unsupported version) without raising. The channel is closed on
+    every path. *)
 
 val validate :
   ?job_id:string ->

@@ -1,13 +1,12 @@
-(** Wire encodings for the circuit-level values that cross the worker
-    pipe: cubes and error traces. Kept here (not in [rfn.circuit]) so
-    the circuit layer stays JSON-free, and kept out of the engines so
-    both ends of the protocol share one definition.
+(** JSON encodings for the circuit-level values RFN writes out: cubes
+    and error traces, as carried by the server's result lines and read
+    back by its clients. Kept here (not in [rfn.circuit]) so the circuit
+    layer stays JSON-free, and shared by every writer and reader so both
+    ends agree on one definition.
 
     Decoders are total: any shape violation — wrong arity, a
     contradictory cube, a trace breaking the state/input length
-    invariant — yields [None], which callers surface as
-    {!Rfn_failure.Worker_garbage}. Worker output is validated, never
-    trusted. *)
+    invariant — yields [None]. Input is validated, never trusted. *)
 
 val cube_to_json : Rfn_circuit.Cube.t -> Rfn_obs.Json.t
 (** [[[signal, value], ...]] — pairs of signal id and polarity. *)

@@ -230,7 +230,6 @@ let sample_record =
     retries = 1;
     fallbacks = 0;
     injected = 0;
-    worker_failures = 0;
     bdd_nodes = 1234;
     bdd_peak = 5678;
     sat_learned = 42;
@@ -242,9 +241,21 @@ let sample_record =
 let test_provenance_roundtrip () =
   let j = Provenance.to_json sample_record in
   (* through the printer and parser, like a real --metrics-out line *)
-  match Provenance.of_json (Json.of_string (Json.to_string j)) with
+  (match Provenance.of_json (Json.of_string (Json.to_string j)) with
   | Ok p -> Alcotest.(check bool) "round-trips exactly" true (p = sample_record)
-  | Error f -> Alcotest.fail ("round-trip lost field " ^ f)
+  | Error f -> Alcotest.fail ("round-trip lost field " ^ f));
+  (* records written before the field was retired carry a
+     [worker_failures] key; they must still decode *)
+  let old =
+    match j with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("worker_failures", Json.Int 2) ])
+    | _ -> Alcotest.fail "provenance json is not an object"
+  in
+  match Provenance.of_json (Json.of_string (Json.to_string old)) with
+  | Ok p ->
+    Alcotest.(check bool) "old record with worker_failures decodes" true
+      (p = sample_record)
+  | Error f -> Alcotest.fail ("old record rejected on field " ^ f)
 
 let test_provenance_roundtrip_edge_values () =
   let edge =
