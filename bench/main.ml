@@ -484,8 +484,7 @@ let bench_json ~quick () =
       (fun name -> (name, session_counter name))
       [
         "cones_reused"; "cones_recompiled"; "clusters_reused";
-        "clusters_rebuilt"; "grow_in_place"; "grow_sifted"; "grow_rebuilds";
-        "resets";
+        "clusters_rebuilt"; "grow_in_place"; "resets";
       ]
   in
   let g_carried = Telemetry.gauge "session.nodes_carried" in

@@ -62,7 +62,6 @@ let add_vars m k =
 let num_nodes m = m.n - m.free_n
 let node_limit m = m.limit
 let set_node_limit m l = m.limit <- l
-let clear_caches m = Hashtbl.reset m.cache
 
 let zero _ = f0
 let one _ = f1

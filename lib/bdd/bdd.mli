@@ -8,9 +8,7 @@
 
     Variable indices coincide with levels: variable [i] is tested above
     variable [j] iff [i < j]. Choosing a good order is the caller's
-    job ({!Force} computes one from circuit structure); "dynamic
-    reordering" is provided as a rebuild into a fresh manager
-    ({!rebuild}).
+    job ({!Force} computes one from circuit structure).
 
     Managers enforce a node budget: operations raise {!Limit_exceeded}
     once the number of live nodes exceeds it, which is how engines
@@ -39,7 +37,6 @@ val num_nodes : man -> int
 
 val node_limit : man -> int
 val set_node_limit : man -> int -> unit
-val clear_caches : man -> unit
 
 (* Garbage collection. Nodes are reclaimed by explicit mark-and-sweep:
    anything not reachable from the given roots or from the protected
@@ -146,8 +143,7 @@ val eval : man -> t -> (int -> bool) -> bool
 
 val rebuild : src:man -> dst:man -> map:(int -> int) -> t -> t
 (** Translate a BDD into another manager, applying a variable map (the
-    new order need not be compatible with the old one). Used to
-    implement reordering-by-rebuild. *)
+    new order need not be compatible with the old one). *)
 
 val subset_heavy : man -> max_size:int -> t -> t
 (** Heavy-branch under-approximation (Ravi–Somenzi style BDD

@@ -13,14 +13,9 @@ let span ~pos ~edges =
         acc + (mx - mn))
     0 edges
 
-let order ?(iterations = 30) ?init ~nvars ~edges () =
+let order ?(iterations = 30) ~nvars ~edges () =
   let edges = List.filter (fun e -> List.length e > 1) edges in
-  let pos =
-    match init with
-    | Some p when Array.length p = nvars -> Array.copy p
-    | Some _ -> invalid_arg "Force.order: init size mismatch"
-    | None -> Array.init nvars (fun i -> i)
-  in
+  let pos = Array.init nvars (fun i -> i) in
   if edges = [] || nvars = 0 then pos
   else begin
     let best = Array.copy pos in

@@ -5,11 +5,10 @@
     function's support). Iterative center-of-gravity relaxation pulls
     connected variables next to each other, which is exactly what BDD
     orders want. Linear-time per iteration, no BDDs involved — this is
-    how the engines pick initial (and re-computed) orders. *)
+    how the engines pick initial orders. *)
 
 val order :
   ?iterations:int ->
-  ?init:int array ->
   nvars:int ->
   edges:int list list ->
   unit ->
@@ -18,10 +17,7 @@ val order :
     assigned to variable [v]; [pos] is a permutation of
     [0 .. nvars-1]. Variables in no edge keep their relative order at
     the bottom. Default 30 iterations, stopping early when total edge
-    span stops improving. [init] seeds the relaxation with a previous
-    order (a permutation of the same size) — how engines carry variable
-    orders across refinement iterations, as the paper prescribes at the
-    end of its Step 2. *)
+    span stops improving. *)
 
 val span : pos:int array -> edges:int list list -> int
 (** Total span (max - min level) over all edges — the cost FORCE

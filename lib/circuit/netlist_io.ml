@@ -7,9 +7,6 @@ let is_aiger path =
 let load path =
   if is_aiger path then Aiger_io.parse_file path else Bench_io.parse_file path
 
-let parse_as path text =
-  if is_aiger path then Aiger_io.parse text else Bench_io.parse text
-
 let save ?bads path c =
   if is_aiger path then Aiger_io.write_file ?bads path c
   else begin

@@ -6,10 +6,6 @@ val load : string -> Circuit.t
     Raises [Failure] with a line-numbered message on syntax errors and
     [Sys_error] on I/O errors, like the underlying readers. *)
 
-val parse_as : string -> string -> Circuit.t
-(** [parse_as path text] parses in-memory [text] with the front-end
-    [path]'s extension names (the text is not read from [path]). *)
-
 val save : ?bads:string list -> string -> Circuit.t -> unit
 (** Write [c] to [path] in the format its extension names. [bads] is
     forwarded to {!Aiger_io.write_file} and ignored for `.bench`. *)

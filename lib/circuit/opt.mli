@@ -25,6 +25,15 @@ type report = {
   constants_folded : int;
 }
 
+val constant_registers : Circuit.t -> Bitset.t
+(** Registers provably stuck at their concrete initial value: the
+    greatest fixpoint that starts from every register with a [`Zero] or
+    [`One] initial value and drops any whose next-state function,
+    evaluated ternarily with the remaining candidates at their initial
+    values and everything else unknown, differs from that value. Sound:
+    every reachable state agrees with the returned registers' initial
+    values. *)
+
 val simplify : Circuit.t -> Circuit.t * (int -> int option) * report
 (** [simplify c] returns the rewritten design, a map from old signal
     identifiers to surviving new ones ([None] if the signal was swept

@@ -381,5 +381,3 @@ let bfs_analysis ?(k = 60) ?(node_limit = 2_000_000) ?(max_steps = 2_000)
   in
   report_of ?failure ~status ~abstract_regs ~iterations:1
     ~seconds:(Telemetry.now () -. started) ()
-
-let closest_registers_for_test = closest_registers

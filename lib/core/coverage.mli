@@ -59,9 +59,3 @@ val bfs_analysis :
   coverage:int list ->
   report
 (** [k] defaults to 60, the paper's BFS abstract-model size. *)
-
-val closest_registers_for_test :
-  Rfn_circuit.Circuit.t -> coverage:int list -> k:int -> int list
-(** The BFS baseline's register selection (exposed for tests and
-    diagnostics): registers within the smallest dependency distance of
-    the coverage signals, capped at [k]. *)

@@ -142,10 +142,12 @@ let prepare ?(config = default_config) circuit ~roots =
 let verify_in_session ?(config = default_config) session prop =
   let started = Telemetry.now () in
   let circuit = Session.circuit session in
-  (* (Re)point the session at this property. On a warm session of the
-     same design, carried cone BDDs the two properties share survive
-     verbatim; a fresh session just initializes its abstraction. *)
-  Session.retarget session ~roots:(Property.roots prop);
+  (* (Re)point the session at this property under this job's node
+     budget. On a warm session of the same design, carried cone BDDs the
+     two properties share survive verbatim; a fresh session just
+     initializes its abstraction. *)
+  Session.retarget session ~node_limit:config.node_limit
+    ~roots:(Property.roots prop);
   (* Static pre-flight: infer and inductively prove reachable-state
      invariants on the concrete netlist, once per session (a warm
      session reuses the previous property's result — the invariants are
@@ -418,13 +420,12 @@ let verify_in_session ?(config = default_config) session prop =
                 ( Supervisor.Retry,
                   "fixpoint+fresh-order",
                   mc_attempt ~prep:(fun () ->
-                      Session.reset session ~fresh_order:true
-                        ~node_limit:config.node_limit;
+                      Session.reset session ~node_limit:config.node_limit;
                       Session.prepare session) );
                 ( Supervisor.Retry,
                   "fixpoint+node-budget",
                   mc_attempt ~prep:(fun () ->
-                      Session.reset session ~fresh_order:true
+                      Session.reset session
                         ~node_limit:
                           (config.node_limit
                           * (Supervisor.policy sup).Supervisor.node_limit_growth);

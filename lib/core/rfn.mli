@@ -88,8 +88,8 @@ type config = {
       (** fault-injection hook for chaos testing; [None] (the default)
           defers to the [RFN_INJECT_FAULTS] environment variable *)
   session : Session.policy;
-      (** persistent-session knobs: incremental reuse on/off and the
-          grow-vs-rebuild thresholds ({!Session.default_policy}) *)
+      (** persistent-session knob: incremental reuse on, or off for the
+          from-scratch reference mode ({!Session.default_policy}) *)
   check_invariants : bool;
       (** validate cross-artifact invariants ({!Rfn_lint.Check}) at
           every CEGAR phase boundary — varmap↔view totality and the
@@ -172,11 +172,12 @@ val verify_in_session :
   outcome * stats
 (** Run the four-step loop for one property on an existing session.
     The session is first retargeted ({!Session.retarget}) to the
-    property's roots: on a warm session of the same design the cone
+    property's roots under the config's [node_limit]: on a warm session of the same design the cone
     BDDs shared between the previous property's views and this one's
     initial abstraction are reused verbatim, which is how the serve
     layer amortizes compilation across a batch. Verdicts never depend
-    on session temperature — only the work to reach them does. *)
+    on session temperature or on the budgets of earlier properties —
+    only the work to reach them does. *)
 
 val verify :
   ?config:config ->

@@ -20,18 +20,16 @@
       verbatim-reusable prefix of the relation, so only the dirty
       suffix is re-clustered.
 
-    Appending variables at the bottom of the order degrades it, so
-    {!prepare} applies a grow-vs-rebuild policy: accept the grown
-    manager while its (post-GC) node count stays within
-    [grow_blowup × baseline]; past that, sift
-    ({!Rfn_bdd.Reorder.sift}); if sifting cannot recover, rebuild from
-    scratch under a fresh FORCE order seeded by the carried one.
+    Carrying the order is the paper's Step 2 order reuse: every
+    carried variable keeps its level and new ones are appended at the
+    bottom. A grown manager is used as it is; when an order does blow
+    up, the supervisor's [fixpoint+fresh-order] and
+    [fixpoint+node-budget] rungs {!reset} the session and rebuild.
 
     Everything observable is counted under [session.*] telemetry
     names: [cones_reused]/[cones_recompiled],
-    [clusters_reused]/[clusters_rebuilt],
-    [grow_in_place]/[grow_sifted]/[grow_rebuilds], [resets], and the
-    [nodes_carried] gauge. *)
+    [clusters_reused]/[clusters_rebuilt], [grow_in_place], [resets],
+    and the [nodes_carried] gauge. *)
 
 type policy = {
   reuse : bool;
@@ -41,17 +39,10 @@ type policy = {
           ({!Rfn_mc.Varmap.replica}), so behaviour is bit-identical to
           the incremental mode while nothing is reused — the
           differential tests' baseline. *)
-  grow_blowup : float;
-      (** accepted post-grow node-count multiple of the previous
-          iteration's baseline *)
-  min_nodes : int;
-      (** blow-up checks only start past this absolute node count *)
-  sift_passes : int;  (** [max_passes] for the recovery sifting *)
 }
 
 val default_policy : policy
-(** [{reuse = true; grow_blowup = 8.0; min_nodes = 100_000;
-    sift_passes = 1}] *)
+(** [{reuse = true}] *)
 
 type prepared = {
   vm : Rfn_mc.Varmap.t;
@@ -91,18 +82,6 @@ val analysis : t -> Rfn_analysis.Analysis.t option
 
 val set_analysis : t -> Rfn_analysis.Analysis.t -> unit
 
-val translate_root :
-  (Rfn_bdd.Bdd.t, Rfn_bdd.Bdd.t) Hashtbl.t ->
-  what:string ->
-  Rfn_bdd.Bdd.t ->
-  Rfn_bdd.Bdd.t
-(** Total lookup used when adopting a reordered manager: the
-    translation table maps every root handed to
-    {!Rfn_bdd.Reorder.sift}; a miss — impossible unless the reorderer
-    broke its contract — raises [Invalid_argument] naming the
-    structure ([what]) instead of escaping as a bare [Not_found].
-    Exposed for the regression suite. *)
-
 val cone_signals : t -> int list
 (** Signals holding a compiled cone in the session memo (the
     [Rfn_lint.Check.cone_cache] input). Total over the view's inside
@@ -110,8 +89,9 @@ val cone_signals : t -> int list
 
 val prepare : t -> prepared
 (** Make the symbolic state match the current abstraction: compile the
-    missing cones, re-cluster the dirty suffix of the relation, apply
-    the grow-vs-rebuild policy. Idempotent between refinements (the
+    missing cones, re-cluster the dirty suffix of the relation (after
+    an in-place grow, first collect the previous iteration's garbage).
+    Idempotent between refinements (the
     second call returns the same triple). May raise
     [Rfn_bdd.Bdd.Limit_exceeded] — call it inside the supervised rung
     so a blow-up maps to a structured failure; the rung's reset then
@@ -123,15 +103,14 @@ val refine :
     replicate) the varmap accordingly. Allocates no BDD nodes — safe
     to call outside the supervised rungs. *)
 
-val reset : ?fresh_order:bool -> ?node_limit:int -> t -> unit
-(** Drop the manager and every per-manager structure; the next
-    {!prepare} rebuilds from scratch. With [fresh_order:false] (the
-    default) the carried variable order seeds the rebuild's FORCE
-    ordering; [fresh_order:true] discards it — the supervisor's
-    fresh-order retry rung. [node_limit] replaces the session's node
-    budget — the node-budget retry rung. *)
+val reset : ?node_limit:int -> t -> unit
+(** Drop the manager, its variable order and every per-manager
+    structure; the next {!prepare} rebuilds from scratch under a fresh
+    FORCE order — the supervisor's fresh-order retry rung.
+    [node_limit] replaces the session's node budget — the node-budget
+    retry rung. *)
 
-val retarget : t -> roots:int list -> unit
+val retarget : ?node_limit:int -> t -> roots:int list -> unit
 (** Point the session at a different property of the same circuit: the
     abstraction restarts from {!Rfn_circuit.Abstraction.initial} of the
     new roots. With [reuse = true] and a live manager, the varmap is
@@ -140,7 +119,9 @@ val retarget : t -> roots:int list -> unit
     valid verbatim — the cross-property warm-start of the serve layer;
     memo entries outside the new view and the whole cluster cache are
     dropped, and the next {!prepare} collects the previous property's
-    garbage under the blow-up policy. With [reuse = false] the session
-    forgets everything including the order seed, making the retargeted
-    run bit-identical to a cold one. Counted as [session.retargets] and
+    garbage. With [reuse = false] the session forgets everything,
+    making the retargeted run bit-identical to a cold one.
+    [node_limit] replaces the session's node budget and that of its
+    live manager, so the new property runs under its own budget
+    whatever the previous property left. Counted as [session.retargets] and
     (warm path only) [session.retargets_warm]. *)

@@ -60,42 +60,18 @@ let name_list ?(cap = 8) c signals =
 let declared_output c s = List.exists (fun (_, x) -> x = s) c.Circuit.outputs
 let prop_root props s = List.exists (fun p -> p.Property.bad = s) props
 
-(* Ternary constant propagation over the whole design: registers start
-   from their declared initial values ([`Free] as X), primary inputs
-   stay X, and a register's accumulated value widens to X as soon as
-   any step disagrees with it. The result over-approximates the set of
-   reachable states, so a concrete entry is a true structural
-   constant. Terminates in at most [num_registers + 1] sweeps: each
-   sweep either changes nothing or widens at least one register, and
-   widening is one-way. *)
+(* Ternary values of every signal in the reachable states' constant
+   over-approximation: registers stuck at their initial value
+   ([Opt.constant_registers]) hold it, every other register and primary
+   input is X. A concrete entry is a true structural constant. *)
 let ternary_fixpoint c =
-  let view = Sview.whole c ~roots:[] in
-  let state = Array.make (Circuit.num_signals c) Sim3v.VX in
-  Array.iter
-    (fun r ->
-      match Circuit.node c r with
-      | Circuit.Reg { init = `Zero; _ } -> state.(r) <- Sim3v.V0
-      | Circuit.Reg { init = `One; _ } -> state.(r) <- Sim3v.V1
-      | _ -> ())
-    c.Circuit.registers;
-  let values = ref [||] in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let vs = Sim3v.eval view ~free:(fun _ -> Sim3v.VX) ~state:(fun r -> state.(r)) in
-    values := vs;
-    Array.iter
-      (fun r ->
-        match Circuit.node c r with
-        | Circuit.Reg { next; _ } ->
-          if state.(r) <> Sim3v.VX && vs.(next) <> state.(r) then begin
-            state.(r) <- Sim3v.VX;
-            changed := true
-          end
-        | _ -> ())
-      c.Circuit.registers
-  done;
-  (!values, state)
+  let stuck = Rfn_circuit.Opt.constant_registers c in
+  let state r =
+    if Bitset.mem stuck r then
+      Sim3v.of_bool (Circuit.initial_state c ~free:(fun _ -> false) r)
+    else Sim3v.VX
+  in
+  Sim3v.eval (Sview.whole c ~roots:[]) ~free:(fun _ -> Sim3v.VX) ~state
 
 let v_to_string = function
   | Sim3v.V0 -> "0"
@@ -110,7 +86,7 @@ let pass_const_reg =
     doc = "registers whose next-state input is structurally constant";
     run =
       (fun { circuit = c; _ } ->
-        let values, _ = ternary_fixpoint c in
+        let values = ternary_fixpoint c in
         Array.to_list c.Circuit.registers
         |> List.filter_map (fun r ->
                match Circuit.node c r with
@@ -388,7 +364,7 @@ let pass_prop_const =
       (fun { circuit = c; props } ->
         if props = [] then []
         else begin
-          let values, _ = ternary_fixpoint c in
+          let values = ternary_fixpoint c in
           List.filter_map
             (fun p ->
               let bad = p.Property.bad in

@@ -13,8 +13,8 @@
 
     - [const-reg] (warning) — registers whose next-state input is
       structurally constant under ternary constant propagation
-      (a {!Rfn_sim3v.Sim3v} fixpoint seeded from the declared initial
-      values, every primary input X);
+      (the {!Rfn_circuit.Opt.constant_registers} fixpoint over the
+      declared initial values, every primary input X);
     - [self-loop-reg] (warning) — registers clocked from their own
       output (they hold their initial value forever);
     - [dead-input] (warning) — primary inputs driving no logic;
@@ -86,15 +86,12 @@ val register : pass -> unit
 val passes : unit -> pass list
 (** All registered passes, in registration order. *)
 
-val ternary_fixpoint :
-  Rfn_circuit.Circuit.t -> Rfn_sim3v.Sim3v.v array * Rfn_sim3v.Sim3v.v array
-(** [(values, state)] of the ternary constant-propagation fixpoint:
-    registers seeded from their declared initial values ([`Free] as X),
-    primary inputs X, register values widened to X whenever a step
-    disagrees with the accumulated value. A concrete entry in [values]
-    means the signal holds that value in {e every} reachable state (the
-    fixpoint over-approximates reachability); [state] holds the
-    per-register accumulated values. *)
+val ternary_fixpoint : Rfn_circuit.Circuit.t -> Rfn_sim3v.Sim3v.v array
+(** Ternary value of every signal under the constant-register fixpoint
+    ({!Rfn_circuit.Opt.constant_registers}): stuck registers at their
+    initial value, every other register and primary input X. A concrete
+    entry means the signal holds that value in {e every} reachable
+    state (the fixpoint over-approximates reachability). *)
 
 val run :
   ?only:string list ->

@@ -26,6 +26,10 @@ let clear_cache c =
   c.entries <- [||];
   c.clusters <- [||]
 
+let release_cache man c =
+  Array.iter (Bdd.unprotect man) c.clusters;
+  clear_cache c
+
 let build ?(cluster_size = 5000) ~fn ~cache vm =
   let view = Varmap.view vm in
   let man = Varmap.man vm in
@@ -49,8 +53,8 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
      prefix of the new one — same register, same next-state variable,
      same cone (handle equality is sound under hash-consing within one
      manager). Growth only appends, so this holds across refinements;
-     any other change (reset, sifting hand-off the caller did not
-     translate) invalidates the whole cache. *)
+     any other change (a reset or a retarget) invalidates the whole
+     cache. *)
   let old = cache.entries in
   let prefix_ok =
     Array.length old <= Array.length entries
@@ -125,7 +129,6 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
 let make ?cluster_size vm =
   fst (build ?cluster_size ~fn:(Symbolic.functions vm) ~cache:(cache ()) vm)
 
-let num_clusters (t : t) = Array.length t.clusters
 
 let post t q =
   Telemetry.incr c_post;

@@ -10,15 +10,11 @@
 
 type t
 
-type cache = {
-  mutable entries : (int * int * Rfn_bdd.Bdd.t) array;
-      (** per-register sources of the cached clusters, sorted by
-          next-state variable: (register, next-state variable, cone) *)
-  mutable clusters : Rfn_bdd.Bdd.t array;  (** protected in the manager *)
-}
+type cache
 (** Compiled-relation cache carried across refinement iterations by a
-    verification session. Fields are exposed so the session layer can
-    translate handles after a reordering hand-off. *)
+    verification session: the per-register sources of the cached
+    clusters, sorted by next-state variable, and the clusters
+    themselves, protected in the manager. *)
 
 type build_stats = { clusters_reused : int; clusters_rebuilt : int }
 
@@ -29,6 +25,11 @@ val clear_cache : cache -> unit
 (** Forget the cached relation {e without} unprotecting anything — for
     manager switches (reset, replica), where the old handles are
     meaningless in the new manager. *)
+
+val release_cache : Rfn_bdd.Bdd.man -> cache -> unit
+(** Unprotect the cached clusters in their manager, then forget them —
+    for a retarget, which keeps the manager but rarely preserves an
+    entry prefix. *)
 
 val build :
   ?cluster_size:int ->
@@ -49,8 +50,6 @@ val make : ?cluster_size:int -> Varmap.t -> t
 (** Build the clustered relation for the varmap's view from scratch
     with a throwaway cache (default cluster size bound: 5000 nodes).
     May raise [Rfn_bdd.Bdd.Limit_exceeded]. *)
-
-val num_clusters : t -> int
 
 val post : t -> Rfn_bdd.Bdd.t -> Rfn_bdd.Bdd.t
 (** [post t q]: states reachable in one step from [q] (both over

@@ -18,7 +18,7 @@ type outcome =
   | Aborted of Rfn_failure.resource
       (** resource limit: [Steps], [Time], or [Nodes]. Structured so
           callers can tell a retryable abort (node budget — retry with
-          a reorder or a bigger budget) from a terminal one (wall-clock
+          a fresh order or a bigger budget) from a terminal one (wall-clock
           budget) without string matching. *)
 
 type result = {

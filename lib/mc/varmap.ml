@@ -17,7 +17,7 @@ type t = {
 (* FORCE order over the view's signals: one hyperedge per gate (the
    gate with its fanins) and one per register (the register with its
    next-state input), then keep only the variable-bearing signals. *)
-let ordered_var_signals ?rank_of view =
+let ordered_var_signals view =
   let c = view.Sview.circuit in
   let n = Circuit.num_signals c in
   let idx_of = Array.make n (-1) in
@@ -27,8 +27,6 @@ let ordered_var_signals ?rank_of view =
       idx_of.(s) <- !count;
       incr count)
     view.Sview.inside;
-  let sig_of = Array.make !count 0 in
-  Bitset.iter (fun s -> sig_of.(idx_of.(s)) <- s) view.Sview.inside;
   let edges = ref [] in
   Bitset.iter
     (fun s ->
@@ -46,40 +44,14 @@ let ordered_var_signals ?rank_of view =
           edges := [ idx_of.(s); idx_of.(next) ] :: !edges
         | _ -> ())
     view.Sview.inside;
-  (* Seed FORCE with a previous iteration's order when provided:
-     previously-placed signals keep their relative order up front, new
-     signals follow in index order. *)
-  let init =
-    match rank_of with
-    | None -> None
-    | Some rank ->
-      let vertices = Array.init !count (fun i -> i) in
-      let key i =
-        match rank sig_of.(i) with
-        | Some r -> (0, r, i)
-        | None -> (1, i, i)
-      in
-      Array.sort (fun a b -> compare (key a) (key b)) vertices;
-      let pos = Array.make !count 0 in
-      Array.iteri (fun level v -> pos.(v) <- level) vertices;
-      Some pos
-  in
-  let pos = Force.order ?init ~nvars:!count ~edges:!edges () in
+  let pos = Force.order ~nvars:!count ~edges:!edges () in
   let var_signals =
     Array.to_list view.Sview.regs @ Array.to_list view.Sview.free_inputs
   in
   List.sort (fun a b -> compare pos.(idx_of.(a)) pos.(idx_of.(b))) var_signals
 
-let signal_rank t s =
-  match Hashtbl.find_opt t.cur s with
-  | Some v -> Some v
-  | None -> Hashtbl.find_opt t.inp s
-
-let make ?(node_limit = max_int) ?previous view =
-  let rank_of =
-    Option.map (fun prev s -> signal_rank prev s) previous
-  in
-  let signals = ordered_var_signals ?rank_of view in
+let make ?(node_limit = max_int) view =
+  let signals = ordered_var_signals view in
   let nvars =
     List.fold_left
       (fun acc s -> acc + if Circuit.is_reg view.Sview.circuit s
@@ -292,7 +264,6 @@ let role t v =
 let vars_of tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
 
 let cur_vars t = List.sort compare (vars_of t.cur)
-let nxt_vars t = List.sort compare (vars_of t.nxt)
 let inp_vars t = t.initial_inp
 
 let add_input_vars t signals =

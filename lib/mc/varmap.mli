@@ -16,16 +16,12 @@ type role =
 
 type t
 
-val make : ?node_limit:int -> ?previous:t -> Rfn_circuit.Sview.t -> t
+val make : ?node_limit:int -> Rfn_circuit.Sview.t -> t
 (** Creates the manager and allocates variables for the view's
-    registers and free inputs. [previous] seeds the FORCE ordering with
-    the order of a varmap from an earlier refinement iteration — the
-    paper saves the BDD variable ordering at the end of Step 2 and
-    reuses it as the next iteration's initial ordering. *)
-
-val signal_rank : t -> int -> int option
-(** Level of the variable carrying a signal (its [Cur] or [Inp]
-    variable), if allocated — the hand-off {!make}'s [previous] uses. *)
+    registers and free inputs under a fresh FORCE order. Later
+    iterations carry that order by growing the varmap in place
+    ({!grow}) — the paper saves the BDD variable ordering at the end
+    of Step 2 and reuses it as the next iteration's ordering. *)
 
 val grow : t -> view:Rfn_circuit.Sview.t -> Rfn_circuit.Abstraction.delta -> t
 (** In-place growth for a refinement delta, the persistent-session
@@ -38,8 +34,8 @@ val grow : t -> view:Rfn_circuit.Sview.t -> Rfn_circuit.Abstraction.delta -> t
     with {!Rfn_bdd.Bdd.add_vars}. Mutates the shared tables: the
     argument must not be used afterwards; use the returned map (which
     carries the new [view]). Appended variables degrade the interleaved
-    order quality — the session layer measures the node count and falls
-    back to sifting or a fresh FORCE rebuild when growth blows up. *)
+    order quality; when an order blows up the node budget, the
+    supervisor's retry rungs rebuild under a fresh {!make}. *)
 
 val rebase : t -> view:Rfn_circuit.Sview.t -> t
 (** Retarget the varmap to a {e different} view of the same circuit —
@@ -66,11 +62,10 @@ val replica : ?node_limit:int -> t -> t
     reference mode of the session layer: same order, no reuse. *)
 
 val remap : t -> man:Rfn_bdd.Bdd.man -> map:(int -> int) -> t
-(** Re-express the varmap over another manager whose variables are a
-    permutation of this one's ([map old_var = new_level], total on the
-    variable range) — the hand-off from [Rfn_bdd.Reorder.sift]/
-    [improve], which rebuild live BDDs into a fresh manager under a
-    better order. *)
+(** Re-express the varmap over another manager with every variable
+    renamed by [map]. Nothing in the engines calls it: it exists only so
+    the [Rfn_lint.Check.varmap] corruption test can forge a bad
+    varmap. *)
 
 val man : t -> Rfn_bdd.Bdd.man
 val view : t -> Rfn_circuit.Sview.t
@@ -97,7 +92,6 @@ val role : t -> int -> role
     without an allocated role. *)
 
 val cur_vars : t -> int list
-val nxt_vars : t -> int list
 val inp_vars : t -> int list
 (** Input variables allocated by [make] (excludes later additions). *)
 

@@ -1,7 +1,6 @@
 (* Extensions beyond the paper's core loop: BDD subsetting (evaluated
    and rejected by the paper — reproduced here), multi-trace guidance
-   (the paper's future work), and variable-order carry-over between
-   refinement iterations. *)
+   (the paper's future work) and GC under a tight node budget. *)
 
 open Rfn_circuit
 module Bdd = Rfn_bdd.Bdd
@@ -130,51 +129,6 @@ let test_multi_trace_config_verifies () =
   | Rfn.Proved, _ -> ()
   | _ -> Alcotest.fail "expected Proved"
 
-(* ---- order carry-over ----------------------------------------------- *)
-
-let test_varmap_previous_preserves_semantics () =
-  let proc = Rfn_designs.Processor.(make ~params:small ()) in
-  let c = proc.Rfn_designs.Processor.circuit in
-  let bad = proc.mutex.Property.bad in
-  let a0 = Abstraction.initial c ~roots:[ bad ] in
-  let vm0 = Varmap.make a0.Abstraction.view in
-  let a1 =
-    Abstraction.refine a0 ~add:[ Circuit.find c "grant_0" ]
-  in
-  let vm1 = Varmap.make ~previous:vm0 a1.Abstraction.view in
-  (* the seeded varmap is fully functional: reach verdicts agree with a
-     fresh one *)
-  let verdict vm =
-    let fn = Symbolic.functions vm in
-    let img = Image.make vm in
-    let init = Symbolic.initial_states vm in
-    let bad_states = Reach.bad_predicate vm ~fn ~bad in
-    match (Reach.run ~max_steps:100 img ~vm ~init ~bad_states).Reach.outcome with
-    | Reach.Proved -> "proved"
-    | Reach.Reached k -> Printf.sprintf "reached %d" k
-    | Reach.Closed k -> Printf.sprintf "closed %d" k
-    | Reach.Aborted w -> "abort " ^ Rfn_failure.resource_to_string w
-  in
-  let fresh = Varmap.make a1.Abstraction.view in
-  Alcotest.(check string) "same verdict" (verdict fresh) (verdict vm1);
-  (* shared signals keep their relative order *)
-  let g0 = Circuit.find c "mutex_bad" in
-  Alcotest.(check bool) "previous rank is exposed" true
-    (Varmap.signal_rank vm0 g0 <> None)
-
-let force_seeding_not_worse =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:50 ~name:"seeded FORCE never beats unseeded badly"
-       (QCheck.int_range 4 20)
-       (fun n ->
-         let edges = List.init (n - 1) (fun i -> [ i; i + 1 ]) in
-         let unseeded = Rfn_bdd.Force.order ~nvars:n ~edges () in
-         let seeded =
-           Rfn_bdd.Force.order ~init:unseeded ~nvars:n ~edges ()
-         in
-         Rfn_bdd.Force.span ~pos:seeded ~edges
-         <= Rfn_bdd.Force.span ~pos:unseeded ~edges))
-
 (* ---- GC under pressure ---------------------------------------------- *)
 
 let test_long_fixpoint_survives_tight_budget () =
@@ -228,9 +182,6 @@ let tests =
       test_guided_any;
     Alcotest.test_case "multi-trace config stays sound" `Quick
       test_multi_trace_config_verifies;
-    Alcotest.test_case "order carry-over preserves semantics" `Quick
-      test_varmap_previous_preserves_semantics;
-    force_seeding_not_worse;
   ]
 
 let () = Alcotest.run "extensions" [ ("extensions", tests) ]

@@ -1,9 +1,7 @@
-(* The netlist optimizer, the BMC baseline, and reordering-by-rebuild. *)
+(* The netlist optimizer and the BMC baseline. *)
 
 open Rfn_circuit
 module Bmc = Rfn_core.Bmc
-module Bdd = Rfn_bdd.Bdd
-module Reorder = Rfn_bdd.Reorder
 module Sim3v = Rfn_sim3v.Sim3v
 module B = Circuit.Builder
 
@@ -147,80 +145,6 @@ let bmc_agrees_with_rfn =
            QCheck.assume_fail ()
          | Bmc.Found _, (Rfn_core.Rfn.Proved, _) -> false))
 
-(* ---- Reorder -------------------------------------------------------- *)
-
-let reorder_preserves_semantics =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"reorder preserves semantics"
-       (Helpers.arbitrary_circuit ~nins:4 ~nregs:2 ~ngates:14)
-       (fun rc ->
-         let c = rc.Helpers.circuit in
-         let view = Sview.whole c ~roots:[ rc.Helpers.out ] in
-         let vm = Rfn_mc.Varmap.make view in
-         let man = Rfn_mc.Varmap.man vm in
-         let f = (Rfn_mc.Symbolic.functions vm) rc.Helpers.out in
-         let g = Bdd.dnot man f in
-         let dst, roots', map = Reorder.improve man ~roots:[ f; g ] in
-         match roots' with
-         | [ f'; g' ] ->
-           let ok = ref true in
-           for v = 0 to (1 lsl min 6 (Bdd.nvars man)) - 1 do
-             let env_old i = v land (1 lsl i) <> 0 in
-             let env_new i =
-               (* variable i in dst corresponds to old variable with
-                  map(old) = i *)
-               let rec find o =
-                 if o >= Bdd.nvars man then false
-                 else if map o = i then env_old o
-                 else find (o + 1)
-               in
-               find 0
-             in
-             if Bdd.eval dst f' env_new <> Bdd.eval man f env_old then
-               ok := false;
-             if Bdd.eval dst g' env_new <> Bdd.eval man g env_old then
-               ok := false
-           done;
-           !ok
-         | _ -> false))
-
-let test_sift_shrinks_bad_order () =
-  (* f = (x0 & x6) | (x1 & x7) | ... — exponential under the identity
-     order, linear once the pairs sit together; greedy sifting finds
-     the interleaving *)
-  let n = 12 in
-  let man = Bdd.create ~nvars:n () in
-  let f =
-    List.fold_left
-      (fun acc i ->
-        Bdd.dor man acc
-          (Bdd.dand man (Bdd.var man i) (Bdd.var man (i + (n / 2)))))
-      (Bdd.zero man)
-      (List.init (n / 2) (fun i -> i))
-  in
-  let before = Reorder.total_size man [ f ] in
-  let dst, roots', map = Reorder.sift ~max_passes:12 man ~roots:[ f ] in
-  let after = Reorder.total_size dst roots' in
-  Alcotest.(check bool)
-    (Printf.sprintf "size improved a lot (%d -> %d)" before after)
-    true
-    (after * 2 < before);
-  (* and semantics held *)
-  match roots' with
-  | [ f' ] ->
-    for v = 0 to 255 do
-      let env_old i = v land (1 lsl (i mod 8)) <> 0 in
-      let env_new lvl =
-        let rec find o =
-          if o >= n then false else if map o = lvl then env_old o else find (o + 1)
-        in
-        find 0
-      in
-      Alcotest.(check bool) "same function" (Bdd.eval man f env_old)
-        (Bdd.eval dst f' env_new)
-    done
-  | _ -> Alcotest.fail "one root expected"
-
 let tests =
   [
     opt_preserves_behaviour;
@@ -233,9 +157,6 @@ let tests =
       test_bmc_finds_shallow_bug;
     Alcotest.test_case "bmc exhausts clean designs" `Quick test_bmc_exhausts;
     bmc_agrees_with_rfn;
-    reorder_preserves_semantics;
-    Alcotest.test_case "sifting shrinks a bad order" `Quick
-      test_sift_shrinks_bad_order;
   ]
 
 let () = Alcotest.run "opt-bmc-reorder" [ ("opt-bmc-reorder", tests) ]

@@ -424,13 +424,18 @@ let zoo () =
   let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
   let fc = fifo.Rfn_designs.Fifo.circuit in
   [
-    ("arbiter/bad", Helpers.arbiter_design (), "bad");
+    ("arbiter/bad", Helpers.arbiter_design (), "bad", None);
     ( "counter3/at_limit",
       Helpers.counter_design ~width:3 ~limit:7,
-      "at_limit" );
-    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad");
-    ("fifo_small/psh_hf", fc, "psh_hf");
-    ("fifo_small/psh_full", fc, "psh_full");
+      "at_limit",
+      None );
+    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad", None);
+    ("fifo_small/psh_hf", fc, "psh_hf", None);
+    ("fifo_small/psh_full", fc, "psh_full", None);
+    (* runs warm after the other FIFO jobs, under a node budget too
+       small for the property: it must abort like its cold run instead
+       of inheriting the budget the session's earlier jobs ran under *)
+    ("fifo_small/psh_af@20", fc, "psh_af", Some 20);
   ]
 
 let test_batch_matches_cold () =
@@ -439,7 +444,11 @@ let test_batch_matches_cold () =
      compare verbatim *)
   let zoo =
     List.map
-      (fun (name, c, out) -> (name, Bench_io.parse (Bench_io.to_string c), out))
+      (fun (name, c, out, node_limit) ->
+        ( name,
+          Bench_io.parse (Bench_io.to_string c),
+          out,
+          Option.value node_limit ~default:config.Rfn.node_limit ))
       (zoo ())
   in
   Telemetry.reset ();
@@ -448,25 +457,31 @@ let test_batch_matches_cold () =
   let c_recompiled = Telemetry.counter "session.cones_recompiled" in
   let cold =
     List.map
-      (fun (name, c, out) ->
-        let outcome, _ = Rfn.verify ~config c (Property.of_output c out) in
+      (fun (name, c, out, node_limit) ->
+        let outcome, _ =
+          Rfn.verify ~config:{ config with Rfn.node_limit } c
+            (Property.of_output c out)
+        in
         (name, outcome))
       zoo
   in
   let cold_reused = Telemetry.counter_value c_reused in
   let cold_recompiled = Telemetry.counter_value c_recompiled in
   Telemetry.reset ();
-  let budget =
+  let budget node_limit =
     {
       Protocol.no_budget with
       Protocol.max_iterations = Some config.Rfn.max_iterations;
-      node_limit = Some config.Rfn.node_limit;
+      node_limit = Some node_limit;
       mc_max_steps = Some config.Rfn.mc_max_steps;
     }
   in
   let completed, events =
     run_server
-      (List.map (fun (name, c, out) -> submit_line ~budget name c out) zoo
+      (List.map
+         (fun (name, c, out, node_limit) ->
+           submit_line ~budget:(budget node_limit) name c out)
+         zoo
       @ [ {|{"op":"shutdown"}|} ])
   in
   Alcotest.(check int) "every zoo job completed" (List.length zoo) completed;

@@ -28,7 +28,7 @@ let config ?(inject = Some (fun _ -> None)) ~reuse () =
     node_limit = 500_000;
     mc_max_steps = 200;
     inject;
-    session = { Session.default_policy with Session.reuse };
+    session = { Session.reuse };
   }
 
 let zoo () =
@@ -242,34 +242,6 @@ let test_session_counters () =
   Alcotest.(check bool) "growth happened in place" true
     (v "session.grow_in_place" > grow0)
 
-let test_blowup_policy_recovers () =
-  (* An absurdly tight blow-up threshold forces the sift-then-rebuild
-     path on every refinement; the verdict must survive it. *)
-  let rebuilds0 =
-    Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
-  in
-  let cfg =
-    {
-      (config ~reuse:true ()) with
-      Rfn.session =
-        {
-          Session.default_policy with
-          Session.grow_blowup = 0.01;
-          min_nodes = 1;
-        };
-    }
-  in
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  (match
-     Rfn.verify ~config:cfg fifo.Rfn_designs.Fifo.circuit
-       fifo.Rfn_designs.Fifo.psh_hf
-   with
-  | Rfn.Proved, _ -> ()
-  | _ -> Alcotest.fail "fifo psh_hf should be proved under forced rebuilds");
-  Alcotest.(check bool) "threshold forced rebuilds" true
-    (Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
-    > rebuilds0)
-
 (* ------------------------------------------------------------------ *)
 (* Failure-surfacing regressions                                       *)
 (* ------------------------------------------------------------------ *)
@@ -308,24 +280,6 @@ let test_check_coi_node_exhaustion () =
   | (`Proved | `Reached _), _ ->
     Alcotest.fail "a 4-node budget cannot model-check the counter"
 
-(* A root missing from the sift translation table must raise an
-   [Invalid_argument] naming the structure (a bare [Hashtbl.find] here
-   used to escape as an anonymous [Not_found]). *)
-let test_translate_root_message () =
-  let man = Bdd.create ~nvars:2 () in
-  let v0 = Bdd.var man 0 and v1 = Bdd.var man 1 in
-  let tr = Hashtbl.create 7 in
-  Hashtbl.replace tr v0 v1;
-  Alcotest.(check bool) "a mapped root translates" true
-    (Session.translate_root tr ~what:"cone cache" v0 == v1);
-  try
-    ignore (Session.translate_root tr ~what:"cone cache" v1);
-    Alcotest.fail "a missing root must raise"
-  with Invalid_argument msg ->
-    Alcotest.(check string) "missing root names the structure"
-      "Session.adopt_sifted: cone cache missing from the sift translation"
-      msg
-
 let tests =
   [
     Alcotest.test_case "incremental vs from-scratch on the zoo" `Quick
@@ -342,16 +296,12 @@ let tests =
       test_replica_matches_grow;
     Alcotest.test_case "session telemetry proves reuse" `Quick
       test_session_counters;
-    Alcotest.test_case "blow-up policy recovers the verdict" `Quick
-      test_blowup_policy_recovers;
     Alcotest.test_case "bfs_analysis surfaces engine failures" `Quick
       test_bfs_failure_surfaced;
     Alcotest.test_case "clean bfs_analysis reports no failure" `Quick
       test_bfs_success_has_no_failure;
     Alcotest.test_case "check_coi maps node exhaustion" `Quick
       test_check_coi_node_exhaustion;
-    Alcotest.test_case "translate_root names the structure" `Quick
-      test_translate_root_message;
   ]
 
 let () = Alcotest.run "session" [ ("session", tests) ]
