@@ -171,9 +171,8 @@ let micro () =
 
 (* Replay the same workloads as one JSONL batch through the real server
    ({!Rfn_serve.Server.run} over temp files) so BENCH_rfn.json records
-   what warm-session reuse buys over the per-property cold runs: the
-   serve.* counters genuinely bump, and every verdict must agree with
-   the cold phase. [cold] carries (name, result, cones_recompiled,
+   the batch against the per-property cold runs: every verdict must
+   agree with the cold phase. [cold] carries (name, result, cones_recompiled,
    seconds) per cold run. *)
 let serve_batch ~workloads ~cold () =
   let module Protocol = Rfn_serve.Protocol in
@@ -258,17 +257,14 @@ let serve_batch ~workloads ~cold () =
     List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 cold
   in
   Format.printf
-    "  serve batch: %d job(s), %d warm reuse(s), cones recompiled %d (cold \
-     %d), %.2fs (cold %.2fs)@."
+    "  serve batch: %d job(s), cones recompiled %d (cold %d), %.2fs (cold \
+     %.2fs)@."
     completed
-    (count "serve.sessions_reused")
     (count "session.cones_recompiled")
     cones_recompiled_cold seconds_batch seconds_cold;
   Json.Obj
     [
       ("jobs_completed", Json.Int completed);
-      ("sessions_created", Json.Int (count "serve.sessions_created"));
-      ("sessions_reused", Json.Int (count "serve.sessions_reused"));
       ("cones_recompiled_cold", Json.Int cones_recompiled_cold);
       ("cones_recompiled_batch", Json.Int (count "session.cones_recompiled"));
       ("cones_reused_batch", Json.Int (count "session.cones_reused"));
@@ -491,7 +487,7 @@ let bench_json ~quick () =
   let was_enabled = Telemetry.enabled () in
   (* one inference run per distinct design (fifo carries three
      properties); invariants are facts about the design, not the
-     property, mirroring the warm-session cache *)
+     property, mirroring the server's design cache *)
   let analysis_memo = ref [] in
   let analysis_of circuit =
     match List.assq_opt circuit !analysis_memo with

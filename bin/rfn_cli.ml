@@ -689,26 +689,17 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Listen on a Unix-domain socket at $(docv) (connections served \
-             sequentially; the warm-session pool persists across them) \
+             sequentially; the parsed-design cache persists across them) \
              instead of speaking JSONL over stdin/stdout.")
   in
-  let max_sessions =
+  let max_designs =
     Arg.(
       value & opt int 4
-      & info [ "max-sessions" ] ~docv:"N"
+      & info [ "max-designs" ] ~docv:"N"
           ~doc:
-            "Warm-session LRU capacity: at most $(docv) designs keep their \
-             symbolic state resident; the least-recently used is evicted \
-             beyond that.")
-  in
-  let max_nodes =
-    Arg.(
-      value & opt int 8_000_000
-      & info [ "max-nodes" ] ~docv:"N"
-          ~doc:
-            "Pool-wide live BDD node cap: after each job, least-recently \
-             used sessions are evicted until the total drops under $(docv) \
-             (the session just used is never evicted).")
+            "Parsed-design LRU capacity: at most $(docv) designs (with their \
+             proved invariants) stay cached; the least-recently used is \
+             evicted beyond that.")
   in
   let checkpoint_dir =
     Arg.(
@@ -722,7 +713,7 @@ let serve_cmd =
              killed jobs at their last completed refinement.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run socket max_sessions max_nodes checkpoint_dir engines analyze
+  let run socket max_designs checkpoint_dir engines analyze
       metrics_out chrome_trace profile verbose =
     setup_logs verbose;
     match setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile () with
@@ -738,17 +729,14 @@ let serve_cmd =
           ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines
           ~analyze ~inject:None ~checkpoint:None ~resume:false
       in
-      let limits =
-        { Rfn_serve.Server.max_sessions = max 1 max_sessions; max_nodes }
-      in
       let jobs =
         match socket with
         | None ->
-          Rfn_serve.Server.run ~limits ~config ?checkpoint_dir
+          Rfn_serve.Server.run ~max_designs ~config ?checkpoint_dir
             ~input:Unix.stdin ~output:stdout ()
         | Some path ->
-          Rfn_serve.Server.serve_socket ~limits ~config ?checkpoint_dir ~path
-            ()
+          Rfn_serve.Server.serve_socket ~max_designs ~config ?checkpoint_dir
+            ~path ()
       in
       Format.eprintf "served %d job(s)@." jobs;
       0
@@ -757,12 +745,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running verification service: accept (design, property, \
-          budget) jobs as JSON Lines over stdio or a Unix socket, group \
-          properties sharing a cone of influence onto warm sessions, and \
-          answer one result line per job (verdict, trace or structured \
-          failure, per-job counters and provenance).")
+          budget) jobs as JSON Lines over stdio or a Unix socket, run them \
+          in submission order on fresh sessions over a cache of parsed \
+          designs, and answer one result line per job (verdict, trace or \
+          structured failure, per-job counters and provenance).")
     Term.(
-      const run $ socket $ max_sessions $ max_nodes $ checkpoint_dir
+      const run $ socket $ max_designs $ checkpoint_dir
       $ engines_arg $ analyze_arg $ metrics_out_arg $ trace_out_arg
       $ profile_arg $ verbose)
 

@@ -432,22 +432,6 @@ let eval m f assignment =
   in
   walk f
 
-let rebuild ~src ~dst ~map f =
-  let memo = Hashtbl.create 256 in
-  let rec rb f =
-    if f = f0 then zero dst
-    else if f = f1 then one dst
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let lo = rb (low src f) and hi = rb (high src f) in
-        let r = ite dst (var dst (map (vr src f))) hi lo in
-        Hashtbl.add memo f r;
-        r
-  in
-  rb f
-
 let protect m f =
   if f > 1 then
     Hashtbl.replace m.protected f

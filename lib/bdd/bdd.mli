@@ -141,10 +141,6 @@ val count_minterms : man -> over:int -> t -> float
 
 val eval : man -> t -> (int -> bool) -> bool
 
-val rebuild : src:man -> dst:man -> map:(int -> int) -> t -> t
-(** Translate a BDD into another manager, applying a variable map (the
-    new order need not be compatible with the old one). *)
-
 val subset_heavy : man -> max_size:int -> t -> t
 (** Heavy-branch under-approximation (Ravi–Somenzi style BDD
     subsetting): while the BDD exceeds [max_size] nodes, replace the

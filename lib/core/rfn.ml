@@ -142,15 +142,13 @@ let prepare ?(config = default_config) circuit ~roots =
 let verify_in_session ?(config = default_config) session prop =
   let started = Telemetry.now () in
   let circuit = Session.circuit session in
-  (* (Re)point the session at this property under this job's node
-     budget. On a warm session of the same design, carried cone BDDs the
-     two properties share survive verbatim; a fresh session just
-     initializes its abstraction. *)
+  (* (Re)point the session at this property under this run's node
+     budget; any manager a previous property left behind is dropped. *)
   Session.retarget session ~node_limit:config.node_limit
     ~roots:(Property.roots prop);
   (* Static pre-flight: infer and inductively prove reachable-state
-     invariants on the concrete netlist, once per session (a warm
-     session reuses the previous property's result — the invariants are
+     invariants on the concrete netlist, once per session (a seeded or
+     retargeted session reuses the earlier result — the invariants are
      facts about the design, not the property). Every consumer below
      only sees *proved* invariants, so analysis can only prune work,
      never change a verdict. *)

@@ -74,8 +74,9 @@ type config = {
   analyze : bool;
       (** run the static invariant-inference pre-flight
           ({!Rfn_analysis.Analysis.run}) on the concrete netlist before
-          the loop, once per session (a warm session reuses the result
-          across properties — invariants are facts about the design).
+          the loop, once per session (a session seeded with
+          {!Session.set_analysis} reuses the result — invariants are
+          facts about the design, not the property).
           The inductively *proved* invariants then feed every engine:
           a care-set restriction of the abstract fixpoint, persistent
           clauses in both SAT unrollings, and a reachability don't-care
@@ -162,8 +163,8 @@ val prepare :
   ?config:config -> Rfn_circuit.Circuit.t -> roots:int list -> Session.t
 (** A persistent session for [circuit], sized by the config's
     [node_limit] and [session] policy. No BDD work happens yet. The
-    session-scoped half of the API split: create once per design, then
-    run {!verify_in_session} for each property. *)
+    session carries BDD state across the iterations of one CEGAR run;
+    the serve layer makes one per job. *)
 
 val verify_in_session :
   ?config:config ->
@@ -172,12 +173,9 @@ val verify_in_session :
   outcome * stats
 (** Run the four-step loop for one property on an existing session.
     The session is first retargeted ({!Session.retarget}) to the
-    property's roots under the config's [node_limit]: on a warm session of the same design the cone
-    BDDs shared between the previous property's views and this one's
-    initial abstraction are reused verbatim, which is how the serve
-    layer amortizes compilation across a batch. Verdicts never depend
-    on session temperature or on the budgets of earlier properties —
-    only the work to reach them does. *)
+    property's roots under the config's [node_limit], which drops any
+    manager an earlier property left; only a cached analysis carries
+    over. Verdicts never depend on what the session ran before. *)
 
 val verify :
   ?config:config ->

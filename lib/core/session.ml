@@ -12,7 +12,6 @@ let c_clusters_rebuilt = Telemetry.counter "session.clusters_rebuilt"
 let c_grow_in_place = Telemetry.counter "session.grow_in_place"
 let c_resets = Telemetry.counter "session.resets"
 let c_retargets = Telemetry.counter "session.retargets"
-let c_retargets_warm = Telemetry.counter "session.retargets_warm"
 let g_nodes_carried = Telemetry.gauge "session.nodes_carried"
 
 type policy = { reuse : bool }
@@ -35,9 +34,9 @@ type t = {
   mutable prepared : prepared option;
   mutable grew : bool;  (* an in-place grow since the last prepare *)
   mutable analysis : Rfn_analysis.Analysis.t option;
-      (* concrete-design invariants, computed once per session and
-         reused across properties (they are facts about the circuit,
-         not about any abstraction) *)
+      (* concrete-design invariants, computed once per session (or
+         handed in by the caller) and reused across retargets: they
+         are facts about the circuit, not about any abstraction *)
 }
 
 let create ?(node_limit = max_int) ?(policy = default_policy) circuit ~roots =
@@ -78,51 +77,15 @@ let reset ?node_limit t =
   (match node_limit with Some l -> t.node_limit <- l | None -> ());
   forget_manager t
 
-(* Point the session at a different property of the same circuit. With
-   reuse on and a live manager, the varmap is rebased to the new
-   property's initial view (every carried value-now variable is
-   preserved, so the memoized cones of signals the views share stay
-   valid verbatim); memo entries for signals outside the new view are
-   dropped — the cone-cache invariant demands exact coverage — and the
-   cluster cache is rebuilt from scratch (a retarget rarely preserves
-   an entry prefix, and stale clusters would pin dead nodes). In
-   reference mode the session forgets everything, so a retargeted run
-   is bit-identical to a cold one. A [node_limit] becomes the session's
-   budget and, on a warm session, the live manager's: the new property
-   runs under its own budget, not whatever the previous one left. *)
+(* Point the session at a different property of the same circuit: the
+   abstraction restarts from the new roots' initial view and the
+   manager is dropped, so a retargeted run is bit-identical to a cold
+   one. Only the design-level analysis survives. *)
 let retarget ?node_limit t ~roots =
   Telemetry.incr c_retargets;
-  (match node_limit with
-  | Some l ->
-    t.node_limit <- l;
-    Option.iter (fun vm -> Bdd.set_node_limit (Varmap.man vm) l) t.vm
-  | None -> ());
-  let abstraction = Abstraction.initial (circuit t) ~roots in
-  t.abstraction <- abstraction;
-  match t.vm with
-  | None -> t.prepared <- None
-  | Some vm when t.policy.reuse ->
-    Telemetry.incr c_retargets_warm;
-    let view = abstraction.Abstraction.view in
-    let vm = Varmap.rebase vm ~view in
-    t.vm <- Some vm;
-    let man = Varmap.man vm in
-    let stale =
-      Hashtbl.fold
-        (fun s f acc -> if Sview.mem view s then acc else (s, f) :: acc)
-        t.memo []
-    in
-    List.iter
-      (fun (s, f) ->
-        Bdd.unprotect man f;
-        Hashtbl.remove t.memo s)
-      stale;
-    Image.release_cache man t.cache;
-    (* the next prepare collects the previous property's garbage (the
-       protected carried cones survive) *)
-    t.grew <- true;
-    t.prepared <- None
-  | Some _ -> forget_manager t
+  (match node_limit with Some l -> t.node_limit <- l | None -> ());
+  t.abstraction <- Abstraction.initial (circuit t) ~roots;
+  forget_manager t
 
 let refine t ~add =
   let abstraction, delta = Abstraction.refine_delta t.abstraction ~add in

@@ -76,11 +76,14 @@ val varmap : t -> Rfn_mc.Varmap.t option
 
 val analysis : t -> Rfn_analysis.Analysis.t option
 (** The concrete-design invariants cached on the session, if the
-    [--analyze] pre-flight has run. Invariants are facts about the
-    circuit, not about any abstraction, so a warm session reuses them
-    across retargets. *)
+    [--analyze] pre-flight has run or a caller seeded them with
+    {!set_analysis}. Invariants are facts about the circuit, not about
+    any abstraction, so they survive {!retarget}. *)
 
 val set_analysis : t -> Rfn_analysis.Analysis.t -> unit
+(** Seed the session with invariants proved earlier for the same
+    circuit — the serve layer's design cache hands each job's fresh
+    session the design's analysis this way. *)
 
 val cone_signals : t -> int list
 (** Signals holding a compiled cone in the session memo (the
@@ -113,15 +116,9 @@ val reset : ?node_limit:int -> t -> unit
 val retarget : ?node_limit:int -> t -> roots:int list -> unit
 (** Point the session at a different property of the same circuit: the
     abstraction restarts from {!Rfn_circuit.Abstraction.initial} of the
-    new roots. With [reuse = true] and a live manager, the varmap is
-    rebased ({!Rfn_mc.Varmap.rebase}) so every carried signal keeps its
-    value-now variable and the memoized cones the two views share stay
-    valid verbatim — the cross-property warm-start of the serve layer;
-    memo entries outside the new view and the whole cluster cache are
-    dropped, and the next {!prepare} collects the previous property's
-    garbage. With [reuse = false] the session forgets everything,
-    making the retargeted run bit-identical to a cold one.
-    [node_limit] replaces the session's node budget and that of its
-    live manager, so the new property runs under its own budget
-    whatever the previous property left. Counted as [session.retargets] and
-    (warm path only) [session.retargets_warm]. *)
+    new roots, [node_limit] (when given) replaces the session's node
+    budget, and the manager is dropped with every per-manager
+    structure, so the retargeted run is bit-identical to a cold one.
+    BDD state is carried only {e within} one CEGAR run; the cached
+    {!analysis} is the one thing that survives. Counted as
+    [session.retargets]. *)

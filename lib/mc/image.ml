@@ -26,10 +26,6 @@ let clear_cache c =
   c.entries <- [||];
   c.clusters <- [||]
 
-let release_cache man c =
-  Array.iter (Bdd.unprotect man) c.clusters;
-  clear_cache c
-
 let build ?(cluster_size = 5000) ~fn ~cache vm =
   let view = Varmap.view vm in
   let man = Varmap.man vm in

@@ -23,13 +23,8 @@ val cache : unit -> cache
 
 val clear_cache : cache -> unit
 (** Forget the cached relation {e without} unprotecting anything — for
-    manager switches (reset, replica), where the old handles are
+    manager switches (reset, retarget, replica), where the old handles are
     meaningless in the new manager. *)
-
-val release_cache : Rfn_bdd.Bdd.man -> cache -> unit
-(** Unprotect the cached clusters in their manager, then forget them —
-    for a retarget, which keeps the manager but rarely preserves an
-    entry prefix. *)
 
 val build :
   ?cluster_size:int ->

@@ -141,64 +141,6 @@ let grow t ~view (d : Abstraction.delta) =
     d.Abstraction.new_free_inputs;
   { t with view; initial_inp = !initial_inp @ List.rev !appended_inp }
 
-(* Retarget to a different view of the same circuit (a new property's
-   initial abstraction) while preserving every carried signal's
-   "value-now" variable: a register of both views keeps its [Cur]/[Nxt]
-   pair, a register output that became free re-rolls its [Cur] variable
-   as its [Inp] variable (the demotion dual of [grow]'s promotion), a
-   free signal that became a register re-rolls its [Inp] variable as
-   [Cur] and appends a [Nxt], and signals new to the view get appended
-   variables. Free signals compile to their [Inp] variable and register
-   outputs to their [Cur] variable, so preserving the index keeps every
-   cone BDD over carried signals valid verbatim. Fresh tables are
-   built, dropping stale roles (the [Nxt] variable of a demoted
-   register, min-cut cut variables, signals that left the view). *)
-let rebase t ~view =
-  let cur = Hashtbl.create 97
-  and nxt = Hashtbl.create 97
-  and inp = Hashtbl.create 97
-  and roles = Hashtbl.create 197 in
-  (* [Cur] before [Inp]: a state register may also carry a stale
-     min-cut input alias, but its value-now variable — the one the
-     session memo's cones mention — is the current-state one. *)
-  let value_now s =
-    match Hashtbl.find_opt t.cur s with
-    | Some v -> Some v
-    | None -> Hashtbl.find_opt t.inp s
-  in
-  Array.iter
-    (fun r ->
-      (match value_now r with
-      | Some v ->
-        Hashtbl.replace cur r v;
-        Hashtbl.replace roles v (Cur r)
-      | None ->
-        let v = Bdd.add_vars t.man 1 in
-        Hashtbl.replace cur r v;
-        Hashtbl.replace roles v (Cur r));
-      match Hashtbl.find_opt t.nxt r with
-      | Some v ->
-        Hashtbl.replace nxt r v;
-        Hashtbl.replace roles v (Nxt r)
-      | None ->
-        let v = Bdd.add_vars t.man 1 in
-        Hashtbl.replace nxt r v;
-        Hashtbl.replace roles v (Nxt r))
-    view.Sview.regs;
-  let inp_vars = ref [] in
-  Array.iter
-    (fun s ->
-      let v =
-        match value_now s with
-        | Some v -> v
-        | None -> Bdd.add_vars t.man 1
-      in
-      Hashtbl.replace inp s v;
-      Hashtbl.replace roles v (Inp s);
-      inp_vars := v :: !inp_vars)
-    view.Sview.free_inputs;
-  { t with view; cur; nxt; inp; roles; initial_inp = List.sort compare !inp_vars }
-
 let replica ?node_limit t =
   let node_limit =
     match node_limit with Some l -> l | None -> Bdd.node_limit t.man

@@ -37,22 +37,6 @@ val grow : t -> view:Rfn_circuit.Sview.t -> Rfn_circuit.Abstraction.delta -> t
     order quality; when an order blows up the node budget, the
     supervisor's retry rungs rebuild under a fresh {!make}. *)
 
-val rebase : t -> view:Rfn_circuit.Sview.t -> t
-(** Retarget the varmap to a {e different} view of the same circuit —
-    a new property's initial abstraction — keeping the manager and
-    preserving every carried signal's value-now variable: registers of
-    both views keep their [Cur]/[Nxt] pair, a register output that
-    became free re-rolls its [Cur] variable as its [Inp] variable (the
-    demotion dual of {!grow}'s promotion), a free signal that became a
-    register re-rolls its [Inp] variable as [Cur] (appending a [Nxt]),
-    and signals new to the view get appended variables. Because free
-    signals compile to their [Inp] variable and register outputs to
-    their [Cur] variable, every cone BDD over carried signals stays
-    valid verbatim — the cross-property warm-session reuse of the
-    serve layer. Builds fresh tables (the argument stays usable) and
-    drops stale roles; [initial_inp] is rebuilt to exactly the new
-    view's free-input variables. *)
-
 val replica : ?node_limit:int -> t -> t
 (** A copy of the varmap over a {e fresh, empty} manager with the same
     variable count and the identical signal↦variable assignment

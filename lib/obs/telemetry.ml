@@ -237,7 +237,7 @@ let reset () =
    counters to individual jobs by delta against a snapshot taken when
    the job starts. Gauge peaks are rebaselined to the current value at
    snapshot time, so a job's reported peak is its own, not a leftover
-   spike from an earlier job on the same warm session. *)
+   spike from an earlier job in the same process. *)
 
 type scope = { base : (string, int) Hashtbl.t }
 

@@ -47,7 +47,7 @@ type scope
     nothing needs resetting between them. Taking a scope also
     rebaselines every gauge's peak to its current value, so a job's
     reported peak is its own, not a leftover spike from an earlier job
-    on the same warm session. *)
+    in the same process. *)
 
 val scope : unit -> scope
 

@@ -1,45 +1,37 @@
-(** LRU pool of warm verification sessions, keyed by netlist digest
-    ({!Rfn_proc.Checkpoint.hash_circuit}).
+(** LRU cache of parsed designs, keyed by a digest of the design's
+    bytes.
 
-    A hit hands back the design's warm session — its cone memo and
-    variable order survive retargeting ({!Rfn_core.Session.retarget}),
-    so properties of one design amortize compilation. A miss creates a
-    session ({!Rfn_core.Rfn.prepare}) and evicts the least-recently
-    used entry beyond [max_sessions]. {!trim} additionally evicts LRU
-    entries while the pool's total live BDD node count exceeds
-    [max_nodes] — call it after each job; the entry just used is never
-    trimmed, so a single over-budget design still keeps its session
-    until another design needs the slot.
+    A hit hands back the design's parsed circuit and, once a job has
+    run the [--analyze] pre-flight on it, the proved invariants — the
+    two things that pay to compute once per design. No BDD state lives
+    here: every job runs on a fresh session ({!Rfn_core.Rfn.prepare})
+    seeded with the cached analysis. A miss parses the design and
+    evicts the least-recently used entry beyond [max_designs].
 
-    Counted as [serve.sessions_created], [serve.sessions_reused] and
-    [serve.sessions_evicted]. *)
+    Counted as [serve.designs_parsed], [serve.designs_reused] and
+    [serve.designs_evicted]. *)
+
+type design = {
+  circuit : Rfn_circuit.Circuit.t;
+  mutable analysis : Rfn_analysis.Analysis.t option;
+      (** proved invariants, filled in by the first [analyze] job *)
+}
 
 type t
 
-val create : ?max_sessions:int -> ?max_nodes:int -> unit -> t
-(** Defaults: [max_sessions = 4], [max_nodes = 8_000_000]. Caps are
-    clamped to at least 1 session. *)
+val create : ?max_designs:int -> unit -> t
+(** Default [max_designs = 4], clamped to at least 1. *)
 
 val acquire :
-  t ->
-  digest:string ->
-  create:(unit -> Rfn_core.Session.t) ->
-  Rfn_core.Session.t * bool
-(** The session for [digest], freshly created when absent; the flag is
-    [true] on a hit (warm session reused). Marks the entry
-    most-recently used either way. *)
-
-val trim : t -> unit
-(** Evict LRU entries while the total live node count exceeds
-    [max_nodes], never evicting the most-recently used entry. *)
+  t -> digest:string -> parse:(unit -> Rfn_circuit.Circuit.t) -> design
+(** The design for [digest], parsed with [parse] when absent (an
+    exception from [parse] leaves the cache unchanged). Marks the
+    entry most-recently used either way. *)
 
 val drop : t -> digest:string -> unit
 (** Remove a digest's entry outright — the server calls this when a
-    job died mid-run on an uncaught exception and the session's state
-    can no longer be trusted. Counted as an eviction; no-op when
-    absent. *)
-
-val length : t -> int
+    job died mid-run on an uncaught exception. Counted as an eviction;
+    no-op when absent. *)
 
 val digests : t -> string list
 (** Resident digests, most-recently used first — what the eviction

@@ -19,7 +19,9 @@
     remaining jobs still run and report — then answers [bye]. *)
 
 type design =
-  | File of string  (** path to a [.bench] netlist *)
+  | File of string
+      (** path to a [.bench] or AIGER netlist, read afresh on every
+          submit *)
   | Netlist of string  (** inline netlist text *)
 
 type budget = {
@@ -30,8 +32,8 @@ type budget = {
   engines : Rfn_core.Rfn.engines option;
   analyze : bool option;
       (** run the static invariant-inference pre-flight before the
-          loop; the warm-session cache means one analysis serves a
-          whole batch on the same design *)
+          loop; the design cache ({!Pool}) means one analysis serves
+          every job on the same design *)
 }
 (** Per-job overrides of the server's base config; [None] fields
     inherit. *)

@@ -3,7 +3,7 @@ module Json = Rfn_obs.Json
 module Telemetry = Rfn_obs.Telemetry
 module Provenance = Rfn_obs.Provenance
 module Rfn = Rfn_core.Rfn
-module Checkpoint = Rfn_proc.Checkpoint
+module Session = Rfn_core.Session
 module Codec = Rfn_proc.Codec
 module F = Rfn_failure
 
@@ -14,10 +14,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let c_submitted = Telemetry.counter "serve.jobs_submitted"
 let c_completed = Telemetry.counter "serve.jobs_completed"
 let c_cancelled = Telemetry.counter "serve.jobs_cancelled"
-
-type limits = { max_sessions : int; max_nodes : int }
-
-let default_limits = { max_sessions = 4; max_nodes = 8_000_000 }
 
 (* ---- line-buffered reads over a raw descriptor ----------------------- *)
 
@@ -63,9 +59,8 @@ let fill r =
 type job = {
   id : string;
   digest : string;
-  circuit : Circuit.t;
+  design : Pool.design;
   prop_name : string;
-  coi_regs : Bitset.t;  (* the scheduler's cone-grouping key *)
   budget : Protocol.budget;
 }
 
@@ -77,8 +72,6 @@ type state = {
   mutable queue : job list;  (* submission order *)
   mutable order : string list;  (* every id ever submitted, oldest first *)
   states : (string, string) Hashtbl.t;  (* id -> queued/running/... *)
-  circuits : (string, Circuit.t) Hashtbl.t;  (* digest -> parsed design *)
-  sources : (string, string) Hashtbl.t;  (* design source key -> digest *)
   mutable shutdown : bool;
   mutable completed : int;
 }
@@ -94,54 +87,34 @@ let error_event ?id msg =
 
 (* ---- submit ---------------------------------------------------------- *)
 
-(* The circuit cache is keyed by digest, and the digest resolved via a
-   source-key cache (path, or a hash of the inline text) so a batch
-   over one design parses it once. Resolving through the digest also
-   guarantees every job of a digest shares ONE [Circuit.t] — signal
-   ids in the job's property resolve against the same numbering the
-   pooled session was built on. *)
+(* A file is read on every submit and goes down the inline path, so
+   the cache key is always the digest of the bytes: an edited file is a
+   new design, never a stale parse. Inline text carries no extension;
+   sniff the AIGER magic so `.aag`/`.aig` designs work either way. *)
 let resolve_design st design =
-  let key =
+  let text =
     match design with
-    | Protocol.File path -> "file:" ^ path
-    | Protocol.Netlist text -> "inline:" ^ Digest.to_hex (Digest.string text)
+    | Protocol.File path -> In_channel.with_open_bin path In_channel.input_all
+    | Protocol.Netlist text -> text
   in
+  let digest = Digest.to_hex (Digest.string text) in
   let parse () =
-    match design with
-    | Protocol.File path -> Netlist_io.load path
-    | Protocol.Netlist text ->
-      (* Inline text carries no extension; sniff the AIGER magic so
-         clients can inline `.aag`/`.aig` designs too. *)
-      if
-        String.length text >= 4
-        && (String.sub text 0 4 = "aag " || String.sub text 0 4 = "aig ")
-      then Aiger_io.parse text
-      else Bench_io.parse text
+    if
+      String.length text >= 4
+      && (String.sub text 0 4 = "aag " || String.sub text 0 4 = "aig ")
+    then Aiger_io.parse text
+    else Bench_io.parse text
   in
-  match Hashtbl.find_opt st.sources key with
-  | Some digest when Hashtbl.mem st.circuits digest ->
-    (digest, Hashtbl.find st.circuits digest)
-  | stale ->
-    (* Cache miss — or a source mapping whose circuit entry is gone
-       (a bare Hashtbl.find here used to raise Not_found and kill the
-       whole serve loop). Re-parse and self-heal the mapping. *)
-    let circuit = parse () in
-    let d = Checkpoint.hash_circuit circuit in
-    if not (Hashtbl.mem st.circuits d) then Hashtbl.add st.circuits d circuit;
-    if stale <> None then Hashtbl.remove st.sources key;
-    Hashtbl.add st.sources key d;
-    (d, circuit)
+  (digest, Pool.acquire st.pool ~digest ~parse)
 
 let submit st (s : Protocol.submit) =
   if Hashtbl.mem st.states s.id then
     emit st (error_event ~id:s.id (Printf.sprintf "duplicate job id %S" s.id))
   else
     match
-      let digest, circuit = resolve_design st s.design in
-      let prop = Property.of_output circuit s.property in
-      let coi = Coi.compute circuit ~roots:(Property.roots prop) in
-      { id = s.id; digest; circuit; prop_name = s.property;
-        coi_regs = coi.Coi.regs; budget = s.budget }
+      let digest, design = resolve_design st s.design in
+      ignore (Property.of_output design.Pool.circuit s.property);
+      { id = s.id; digest; design; prop_name = s.property; budget = s.budget }
     with
     | exception Sys_error msg -> emit st (error_event ~id:s.id msg)
     | exception Failure msg -> emit st (error_event ~id:s.id msg)
@@ -241,48 +214,43 @@ let config_of_job st (j : job) =
 let run_job st (j : job) =
   Hashtbl.replace st.states j.id "running";
   let config = config_of_job st j in
-  let prop = Property.of_output j.circuit j.prop_name in
+  let circuit = j.design.Pool.circuit in
+  let prop = Property.of_output circuit j.prop_name in
   let scope = Telemetry.scope () in
   let saved_context = Telemetry.context () in
   Telemetry.set_context (("job", Json.Str j.id) :: saved_context);
-  let session, warm =
-    Pool.acquire st.pool ~digest:j.digest ~create:(fun () ->
-        Rfn.prepare ~config j.circuit ~roots:(Property.roots prop))
-  in
-  Log.info (fun m ->
-      m "job %s: %s on %s session" j.id j.prop_name
-        (if warm then "warm" else "cold"));
+  (* a fresh session per job, dropped after it; only the design's
+     parse and its proved invariants carry over *)
+  let session = Rfn.prepare ~config circuit ~roots:(Property.roots prop) in
+  Option.iter (Session.set_analysis session) j.design.Pool.analysis;
+  Log.info (fun m -> m "job %s: %s" j.id j.prop_name);
   let verdict_fields =
     Fun.protect
       ~finally:(fun () -> Telemetry.set_context saved_context)
       (fun () ->
         match Rfn.verify_in_session ~config session prop with
-        | Rfn.Proved, stats ->
-          [ ("verdict", Json.Str "proved");
+        | outcome, stats ->
+          if j.design.Pool.analysis = None then
+            j.design.Pool.analysis <- Session.analysis session;
+          let verdict, extra =
+            match outcome with
+            | Rfn.Proved -> ("proved", [])
+            | Rfn.Falsified trace ->
+              ("falsified", [ ("trace", Codec.trace_to_json trace) ])
+            | Rfn.Aborted failure ->
+              ("aborted", [ ("failure", Json.Obj (F.to_attrs failure)) ])
+          in
+          [ ("verdict", Json.Str verdict);
             ("seconds", Json.Float stats.Rfn.seconds);
             ("iterations", Json.Int (List.length stats.Rfn.provenance));
-            ("final_regs", Json.Int stats.Rfn.final_abstract_regs);
-            ( "provenance",
-              Json.List (List.map Provenance.to_json stats.Rfn.provenance) ) ]
-        | Rfn.Falsified trace, stats ->
-          [ ("verdict", Json.Str "falsified");
-            ("seconds", Json.Float stats.Rfn.seconds);
-            ("iterations", Json.Int (List.length stats.Rfn.provenance));
-            ("final_regs", Json.Int stats.Rfn.final_abstract_regs);
-            ("trace", Codec.trace_to_json trace);
-            ( "provenance",
-              Json.List (List.map Provenance.to_json stats.Rfn.provenance) ) ]
-        | Rfn.Aborted failure, stats ->
-          [ ("verdict", Json.Str "aborted");
-            ("seconds", Json.Float stats.Rfn.seconds);
-            ("iterations", Json.Int (List.length stats.Rfn.provenance));
-            ("final_regs", Json.Int stats.Rfn.final_abstract_regs);
-            ("failure", Json.Obj (F.to_attrs failure));
-            ( "provenance",
-              Json.List (List.map Provenance.to_json stats.Rfn.provenance) ) ]
+            ("final_regs", Json.Int stats.Rfn.final_abstract_regs) ]
+          @ extra
+          @ [ ( "provenance",
+                Json.List (List.map Provenance.to_json stats.Rfn.provenance) )
+            ]
         | exception e ->
-          (* the session's state can no longer be trusted — drop it so
-             the next job of this design starts cold instead of weird *)
+          (* whatever the job left on the cached design can no longer be
+             trusted — drop it so the next job of this design re-parses *)
           Pool.drop st.pool ~digest:j.digest;
           let failure =
             F.make ~iteration:0 ~engine:F.Cegar ~phase:F.Loop
@@ -306,11 +274,8 @@ let run_job st (j : job) =
     (Json.Obj
        ([ ("ev", Json.Str "result"); ("id", Json.Str j.id) ]
        @ verdict_fields
-       @ [ ( "session",
-             Json.Obj
-               [ ("digest", Json.Str j.digest); ("warm", Json.Bool warm) ] );
-           ("counters", Json.Obj counters) ]));
-  Pool.trim st.pool
+       @ [ ("session", Json.Obj [ ("digest", Json.Str j.digest) ]);
+           ("counters", Json.Obj counters) ]))
 
 (* ---- the loop -------------------------------------------------------- *)
 
@@ -325,11 +290,10 @@ let handle_line st line =
     | Ok Protocol.Shutdown -> st.shutdown <- true
 
 let run_next st =
-  match Scheduler.plan (List.map (fun j -> (j, j.digest, j.coi_regs)) st.queue)
-  with
+  match st.queue with
   | [] -> ()
-  | j :: _ ->
-    st.queue <- List.filter (fun j' -> j'.id <> j.id) st.queue;
+  | j :: rest ->
+    st.queue <- rest;
     run_job st j
 
 let serve_state st input =
@@ -377,33 +341,25 @@ let make_state ~pool ~config ~checkpoint_dir ~output =
     queue = [];
     order = [];
     states = Hashtbl.create 31;
-    circuits = Hashtbl.create 7;
-    sources = Hashtbl.create 7;
     shutdown = false;
     completed = 0;
   }
 
-let run ?(limits = default_limits) ?(config = Rfn.default_config)
-    ?checkpoint_dir ~input ~output () =
-  let pool =
-    Pool.create ~max_sessions:limits.max_sessions ~max_nodes:limits.max_nodes
-      ()
-  in
+let run ?max_designs ?(config = Rfn.default_config) ?checkpoint_dir ~input
+    ~output () =
+  let pool = Pool.create ?max_designs () in
   let st = make_state ~pool ~config ~checkpoint_dir ~output in
   serve_state st input;
   st.completed
 
-let serve_socket ?(limits = default_limits) ?(config = Rfn.default_config)
-    ?checkpoint_dir ~path () =
+let serve_socket ?max_designs ?(config = Rfn.default_config) ?checkpoint_dir
+    ~path () =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;
   Log.info (fun m -> m "listening on %s" path);
-  let pool =
-    Pool.create ~max_sessions:limits.max_sessions ~max_nodes:limits.max_nodes
-      ()
-  in
+  let pool = Pool.create ?max_designs () in
   let total = ref 0 in
   let stop = ref false in
   while not !stop do

@@ -246,15 +246,6 @@ let support_test =
                  = Bdd.eval man f (fun i -> if i = v then not (env i) else env i))
             [ 0; 1; 2; 3; 4; 5 ]))
 
-let rebuild_test =
-  qt "rebuild into reversed order preserves semantics" 200 (fun e ->
-      let src = Bdd.create ~nvars () in
-      let f = build_bdd src e in
-      let dst = Bdd.create ~nvars () in
-      let map v = nvars - 1 - v in
-      let g = Bdd.rebuild ~src ~dst ~map f in
-      all_envs (fun env -> Bdd.eval dst g (fun i -> env (map i)) = eval_expr env e))
-
 let gc_test =
   qt "gc preserves roots and protected nodes" 100 (fun e ->
       let man = Bdd.create ~nvars () in
@@ -323,7 +314,6 @@ let tests =
     fattest_is_minimal_test;
     density_test;
     support_test;
-    rebuild_test;
     gc_test;
     Alcotest.test_case "gc recycles slots" `Quick gc_reuse_test;
     Alcotest.test_case "node limit" `Quick limit_test;

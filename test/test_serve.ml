@@ -1,8 +1,8 @@
-(* Tests for the verification service: cone-grouping scheduler
-   determinism, warm-session LRU eviction, the wire protocol, the
-   job-id checkpoint key, per-job telemetry scoping, and a
-   batch-vs-cold differential that drives the real server loop end to
-   end over file descriptors. *)
+(* Tests for the verification service: parsed-design LRU eviction, the
+   wire protocol, the job-id checkpoint key, per-job telemetry scoping,
+   and the real server loop end to end over file descriptors —
+   including a batch-vs-cold differential and an edited design file
+   re-read between two submits. *)
 
 open Rfn_circuit
 module Rfn = Rfn_core.Rfn
@@ -11,7 +11,6 @@ module Json = Rfn_obs.Json
 module Checkpoint = Rfn_proc.Checkpoint
 module Codec = Rfn_proc.Codec
 module Protocol = Rfn_serve.Protocol
-module Scheduler = Rfn_serve.Scheduler
 module Pool = Rfn_serve.Pool
 module Server = Rfn_serve.Server
 
@@ -29,81 +28,6 @@ let config =
     inject = no_inject;
   }
 
-(* ---- scheduler ------------------------------------------------------ *)
-
-let bs ids = Bitset.of_list 64 ids
-
-let test_plan_groups () =
-  (* a and b share a register, d shares with b (hence transitively
-     with a), c is disjoint: one warm group [a;b;d], then [c] *)
-  let jobs =
-    [
-      ("a", "d1", bs [ 1; 2 ]);
-      ("b", "d1", bs [ 2; 3 ]);
-      ("c", "d1", bs [ 9 ]);
-      ("d", "d1", bs [ 3; 4 ]);
-    ]
-  in
-  Alcotest.(check (list string))
-    "transitive COI group runs back to back"
-    [ "a"; "b"; "d"; "c" ]
-    (Scheduler.plan jobs)
-
-let test_plan_digest_buckets () =
-  let jobs =
-    [
-      ("a", "d1", bs [ 1 ]);
-      ("x", "d2", bs [ 1 ]);
-      ("b", "d1", bs [ 1 ]);
-      ("y", "d2", bs [ 9 ]);
-    ]
-  in
-  Alcotest.(check (list string))
-    "one bucket per digest, buckets in first-submission order"
-    [ "a"; "b"; "x"; "y" ]
-    (Scheduler.plan jobs)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        List.map
-          (fun p -> x :: p)
-          (permutations (List.filter (fun y -> y != x) l)))
-      l
-
-let test_plan_permutation_invariant () =
-  (* the partition into COI groups is a function of the submitted set,
-     not of arrival order: in every permutation a, b, d stay
-     contiguous and c runs alone *)
-  let base =
-    [
-      ("a", "d1", bs [ 1; 2 ]);
-      ("b", "d1", bs [ 2; 3 ]);
-      ("c", "d1", bs [ 9 ]);
-      ("d", "d1", bs [ 3; 4 ]);
-    ]
-  in
-  List.iter
-    (fun jobs ->
-      let plan = Scheduler.plan jobs in
-      Alcotest.(check int) "plan is a permutation" 4 (List.length plan);
-      let pos x =
-        let rec go i = function
-          | [] -> Alcotest.fail ("job missing from plan: " ^ x)
-          | y :: _ when y = x -> i
-          | _ :: tl -> go (i + 1) tl
-        in
-        go 0 plan
-      in
-      let group = List.sort compare [ pos "a"; pos "b"; pos "d" ] in
-      match group with
-      | [ lo; _; hi ] ->
-        Alcotest.(check int) "group of a, b, d is contiguous" 2 (hi - lo)
-      | _ -> assert false)
-    (permutations base)
-
 (* ---- pool ----------------------------------------------------------- *)
 
 let counter_prop () =
@@ -111,42 +35,36 @@ let counter_prop () =
   (c, Property.of_output c "at_limit")
 
 let test_pool_lru () =
-  let c, p = counter_prop () in
-  let make () = Rfn.prepare ~config c ~roots:(Property.roots p) in
-  let pool = Pool.create ~max_sessions:2 () in
-  let _, warm = Pool.acquire pool ~digest:"a" ~create:make in
-  Alcotest.(check bool) "first acquire is cold" false warm;
-  let _, _ = Pool.acquire pool ~digest:"b" ~create:make in
-  let _, warm = Pool.acquire pool ~digest:"a" ~create:make in
-  Alcotest.(check bool) "hit is warm" true warm;
+  let c, _ = counter_prop () in
+  let parses = ref 0 in
+  let parse () =
+    incr parses;
+    c
+  in
+  let pool = Pool.create ~max_designs:2 () in
+  let acquire digest = ignore (Pool.acquire pool ~digest ~parse) in
+  acquire "a";
+  acquire "b";
+  acquire "a";
+  Alcotest.(check int) "a hit does not re-parse" 2 !parses;
   (* b is now least recently used; a third digest evicts it *)
-  ignore (Pool.acquire pool ~digest:"c" ~create:make);
+  acquire "c";
   Alcotest.(check (list string))
     "LRU evicted, MRU first" [ "c"; "a" ] (Pool.digests pool);
-  let _, warm = Pool.acquire pool ~digest:"b" ~create:make in
-  Alcotest.(check bool) "evicted entry comes back cold" false warm;
+  acquire "b";
+  Alcotest.(check int) "an evicted design is parsed again" 4 !parses;
   (* re-admitting b pushed out a, the LRU of the survivors *)
   Alcotest.(check (list string))
     "LRU of the survivors evicted" [ "b"; "c" ] (Pool.digests pool);
-  Pool.drop pool ~digest:"b";
-  Alcotest.(check int) "drop removes the entry" 1 (Pool.length pool)
-
-let test_pool_trim () =
-  (* verified sessions hold live BDD nodes, so a 1-node budget must
-     trim every entry except the most recently used *)
-  let c, p = counter_prop () in
-  let make () = Rfn.prepare ~config c ~roots:(Property.roots p) in
-  let pool = Pool.create ~max_sessions:4 ~max_nodes:1 () in
-  let run digest =
-    let session, _ = Pool.acquire pool ~digest ~create:make in
-    ignore (Rfn.verify_in_session ~config session p)
-  in
-  run "a";
-  run "b";
-  run "c";
-  Pool.trim pool;
+  (match Pool.acquire pool ~digest:"d" ~parse:(fun () -> failwith "bad") with
+  | _ -> Alcotest.fail "a failing parse was cached"
+  | exception Failure _ -> ());
   Alcotest.(check (list string))
-    "trim keeps only the MRU" [ "c" ] (Pool.digests pool)
+    "a failing parse leaves the cache as it was" [ "b"; "c" ]
+    (Pool.digests pool);
+  Pool.drop pool ~digest:"b";
+  Alcotest.(check (list string))
+    "drop removes the entry" [ "c" ] (Pool.digests pool)
 
 (* ---- protocol ------------------------------------------------------- *)
 
@@ -418,6 +336,110 @@ let test_server_aiger_design () =
           (Option.value ~default:"?" (str "verdict" r)))
     [ "from-file"; "inline" ]
 
+(* The design cache carries the [--analyze] invariants: only the first
+   analyze job on a design runs the inference, the next one is seeded
+   with its result. *)
+let test_server_analysis_cached () =
+  let c, _ = counter_prop () in
+  let budget = { Protocol.no_budget with Protocol.analyze = Some true } in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let _, events =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        run_server
+          [
+            submit_line ~budget "j1" c "at_limit";
+            submit_line ~budget "j2" c "at_limit";
+            {|{"op":"shutdown"}|};
+          ])
+  in
+  let candidates id =
+    match List.find_opt (fun j -> ev j = "result" && sid j = id) events with
+    | None -> Alcotest.fail (id ^ ": no result line")
+    | Some r -> (
+      let counters = Json.member "counters" r in
+      match Option.bind counters (Json.member "analysis.candidates") with
+      | Some (Json.Int n) -> n
+      | _ -> 0)
+  in
+  Alcotest.(check bool)
+    "first job runs the analysis" true
+    (candidates "j1" > 0);
+  Alcotest.(check int) "second job reuses it" 0 (candidates "j2")
+
+(* Regression: the design cache used to key [File] submissions by path,
+   so an interactive client that edited its design between two submits
+   got the second verdict on the old parse. A client thread drives the
+   server over pipes and rewrites the file once the first job is
+   acknowledged: the register fed by the input can go high
+   (falsified), the register fed by a constant never does (proved). *)
+let test_server_rereads_edited_file () =
+  let path = Filename.temp_file "rfn_serve_edit" ".bench" in
+  let write_design next =
+    Out_channel.with_open_bin path (fun oc ->
+        Printf.fprintf oc
+          "INPUT(a)\nOUTPUT(bad)\nr = DFF(d)\nd = %s\nbad = AND(r, r)\n"
+          next)
+  in
+  write_design "AND(a, a)";
+  let in_r, in_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  let events = ref [] in
+  let client () =
+    let oc = Unix.out_channel_of_descr in_w in
+    let ic = Unix.in_channel_of_descr out_r in
+    let send line =
+      output_string oc (line ^ "\n");
+      flush oc
+    in
+    let submit id =
+      send
+        (Json.to_string
+           (Protocol.submit_to_json
+              { Protocol.id; design = Protocol.File path;
+                property = "bad"; budget = Protocol.no_budget }))
+    in
+    let next () =
+      let j = Json.of_string (input_line ic) in
+      events := j :: !events;
+      j
+    in
+    submit "j1";
+    while not (ev (next ()) = "ack") do () done;
+    write_design "CONST0";
+    submit "j2";
+    send {|{"op":"shutdown"}|};
+    close_out oc;
+    (try
+       while true do
+         ignore (next ())
+       done
+     with End_of_file -> ());
+    close_in ic
+  in
+  let th = Thread.create client () in
+  let output = Unix.out_channel_of_descr out_w in
+  let completed =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out_noerr output;
+        Unix.close in_r)
+      (fun () -> Server.run ~config ~input:in_r ~output ())
+  in
+  Thread.join th;
+  Sys.remove path;
+  Alcotest.(check int) "both jobs completed" 2 completed;
+  let verdict_of id =
+    match
+      List.find_opt (fun j -> ev j = "result" && sid j = id) !events
+    with
+    | Some j -> Option.value ~default:"?" (str "verdict" j)
+    | None -> "missing"
+  in
+  Alcotest.(check string) "original design falsified" "falsified"
+    (verdict_of "j1");
+  Alcotest.(check string) "edited design proved" "proved" (verdict_of "j2")
+
 (* ---- batch vs cold differential on the zoo -------------------------- *)
 
 let zoo () =
@@ -432,9 +454,9 @@ let zoo () =
     ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad", None);
     ("fifo_small/psh_hf", fc, "psh_hf", None);
     ("fifo_small/psh_full", fc, "psh_full", None);
-    (* runs warm after the other FIFO jobs, under a node budget too
-       small for the property: it must abort like its cold run instead
-       of inheriting the budget the session's earlier jobs ran under *)
+    (* a per-job node budget too small for the property: it must abort
+       like its cold run instead of running under the server's base
+       budget *)
     ("fifo_small/psh_af@20", fc, "psh_af", Some 20);
   ]
 
@@ -453,7 +475,6 @@ let test_batch_matches_cold () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  let c_reused = Telemetry.counter "session.cones_reused" in
   let c_recompiled = Telemetry.counter "session.cones_recompiled" in
   let cold =
     List.map
@@ -465,7 +486,6 @@ let test_batch_matches_cold () =
         (name, outcome))
       zoo
   in
-  let cold_reused = Telemetry.counter_value c_reused in
   let cold_recompiled = Telemetry.counter_value c_recompiled in
   Telemetry.reset ();
   let budget node_limit =
@@ -509,34 +529,17 @@ let test_batch_matches_cold () =
         | Rfn.Aborted _ ->
           Alcotest.(check string) (name ^ ": verdict") "aborted" verdict))
     cold;
-  (* the warm sessions must pay for themselves: strictly more cone
-     reuse and strictly fewer recompilations than the cold runs *)
-  Alcotest.(check bool)
-    "warm sessions reused" true
-    (Telemetry.counter_value (Telemetry.counter "serve.sessions_reused") > 0);
-  Alcotest.(check bool)
-    "batch reuses strictly more cones than cold" true
-    (Telemetry.counter_value c_reused > cold_reused);
-  Alcotest.(check bool)
-    "batch recompiles strictly fewer cones than cold" true
-    (Telemetry.counter_value c_recompiled < cold_recompiled);
+  (* every job runs on a fresh session, so the batch compiles exactly
+     the cones the cold runs do *)
+  Alcotest.(check int)
+    "batch recompiles exactly the cones cold does" cold_recompiled
+    (Telemetry.counter_value c_recompiled);
   Telemetry.disable ()
 
 let () =
   Alcotest.run "serve"
     [
-      ( "scheduler",
-        [
-          Alcotest.test_case "coi-groups" `Quick test_plan_groups;
-          Alcotest.test_case "digest-buckets" `Quick test_plan_digest_buckets;
-          Alcotest.test_case "permutation-invariant" `Quick
-            test_plan_permutation_invariant;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "lru-eviction" `Quick test_pool_lru;
-          Alcotest.test_case "node-trim" `Quick test_pool_trim;
-        ] );
+      ( "pool", [ Alcotest.test_case "lru-eviction" `Quick test_pool_lru ] );
       ( "protocol",
         [
           Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
@@ -552,6 +555,10 @@ let () =
           Alcotest.test_case "cancel" `Quick test_server_cancel;
           Alcotest.test_case "status-unknown-id" `Quick test_status_unknown_id;
           Alcotest.test_case "aiger-designs" `Quick test_server_aiger_design;
+          Alcotest.test_case "edited-file-reread" `Quick
+            test_server_rereads_edited_file;
+          Alcotest.test_case "analysis-cached" `Quick
+            test_server_analysis_cached;
           Alcotest.test_case "batch-matches-cold" `Slow
             test_batch_matches_cold;
         ] );
