@@ -20,39 +20,18 @@ let load path =
   | Failure msg -> Error msg
   | Sys_error msg -> Error msg
 
-let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
-    ~inject ~checkpoint ~resume =
+let config_of ~max_seconds ~node_limit ~max_iterations ~analyze ~inject
+    ~checkpoint ~resume =
   {
     Rfn.default_config with
     Rfn.max_seconds;
     node_limit;
     max_iterations;
-    engines;
     analyze;
     inject;
     checkpoint;
     resume;
   }
-
-(* Engine selection for the falsification phases; the default defers to
-   the RFN_ENGINE environment variable (and then to ATPG). *)
-let engines_arg =
-  Cmdliner.Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("atpg", Rfn.Atpg_only);
-             ("sat", Rfn.Sat_only);
-             ("portfolio", Rfn.Portfolio);
-           ])
-        (Rfn.engines_of_env ())
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Concretization/re-check engine(s): $(b,atpg) (the paper's guided \
-           sequential ATPG), $(b,sat) (incremental SAT bounded model \
-           checking) or $(b,portfolio) (ATPG first, SAT as a supervisor \
-           fallback rung).")
 
 (* Shared telemetry flags: --metrics-out streams JSONL events,
    --trace-out writes a Chrome trace-event file, --profile prints a
@@ -122,8 +101,9 @@ let analyze_arg =
           "Run the static invariant-inference pre-flight (abstract \
            interpretation + SAT sweeping, every invariant inductively \
            proved) and feed the proven invariants to the engines: a care \
-           set for the abstract fixpoint, persistent clauses for the SAT \
-           unrollings, a don't-care filter for guided ATPG.")
+           set for the abstract fixpoint and a don't-care filter for guided \
+           ATPG in $(b,verify) and $(b,serve), persistent clauses for the \
+           SAT unrolling of $(b,bmc --engine sat).")
 
 (* --lint pre-flight shared by verify and bmc: refuse to start an
    engine on a design the linter rejects. *)
@@ -202,7 +182,7 @@ let verify_cmd =
       & info [ "inject-faults" ] ~docv:"SITES" ~docs:Cmdliner.Manpage.s_none)
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run netlist prop seconds nodes iters engines analyze trace_out baseline
+  let run netlist prop seconds nodes iters analyze trace_out baseline
       checkpoint resume inject_faults lint metrics_out chrome_trace
       profile verbose =
     setup_logs verbose;
@@ -245,8 +225,7 @@ let verify_cmd =
         with_telemetry ~profile @@ fun () ->
         let config =
           config_of ~max_seconds:seconds ~node_limit:nodes
-            ~max_iterations:iters ~engines ~analyze ~inject ~checkpoint
-            ~resume
+            ~max_iterations:iters ~analyze ~inject ~checkpoint ~resume
         in
         let outcome, stats = Rfn.verify ~config circuit property in
         Format.printf
@@ -296,10 +275,9 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Verify that an output signal can never be driven to 1.")
     Term.(
-      const run $ netlist $ prop $ seconds $ nodes $ iters $ engines_arg
-      $ analyze_arg $ trace_out $ baseline $ checkpoint $ resume
-      $ inject_faults $ lint_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_arg $ verbose)
+      const run $ netlist $ prop $ seconds $ nodes $ iters $ analyze_arg
+      $ trace_out $ baseline $ checkpoint $ resume $ inject_faults $ lint_arg
+      $ metrics_out_arg $ trace_out_arg $ profile_arg $ verbose)
 
 (* ---- rfn coverage --------------------------------------------------- *)
 
@@ -713,8 +691,8 @@ let serve_cmd =
              killed jobs at their last completed refinement.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run socket max_designs checkpoint_dir engines analyze
-      metrics_out chrome_trace profile verbose =
+  let run socket max_designs checkpoint_dir analyze metrics_out chrome_trace
+      profile verbose =
     setup_logs verbose;
     match setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile () with
     | Error msg ->
@@ -726,8 +704,8 @@ let serve_cmd =
         config_of
           ~max_seconds:Rfn.default_config.Rfn.max_seconds
           ~node_limit:Rfn.default_config.Rfn.node_limit
-          ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines
-          ~analyze ~inject:None ~checkpoint:None ~resume:false
+          ~max_iterations:Rfn.default_config.Rfn.max_iterations ~analyze
+          ~inject:None ~checkpoint:None ~resume:false
       in
       let jobs =
         match socket with
@@ -750,9 +728,8 @@ let serve_cmd =
           designs, and answer one result line per job (verdict, trace or \
           structured failure, per-job counters and provenance).")
     Term.(
-      const run $ socket $ max_designs $ checkpoint_dir
-      $ engines_arg $ analyze_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_arg $ verbose)
+      const run $ socket $ max_designs $ checkpoint_dir $ analyze_arg
+      $ metrics_out_arg $ trace_out_arg $ profile_arg $ verbose)
 
 (* ---- rfn explain ---------------------------------------------------- *)
 

@@ -18,47 +18,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let c_sup_retries = Telemetry.counter "supervisor.retries"
 let c_sup_fallbacks = Telemetry.counter "supervisor.fallbacks"
 let c_sup_injected = Telemetry.counter "supervisor.injected_faults"
-let c_sat_learned = Telemetry.counter "sat.learned"
 let c_atpg_backtracks = Telemetry.counter "atpg.backtracks"
 let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
-
-type engines = Atpg_only | Sat_only | Portfolio
-
-let engines_to_string = function
-  | Atpg_only -> "atpg"
-  | Sat_only -> "sat"
-  | Portfolio -> "portfolio"
-
-let engines_of_string = function
-  | "atpg" -> Atpg_only
-  | "sat" -> Sat_only
-  | "portfolio" -> Portfolio
-  | s ->
-    invalid_arg
-      (Printf.sprintf
-         "unknown engine selection %S (expected atpg, sat or portfolio)" s)
-
-let engines_of_env () =
-  match Sys.getenv_opt "RFN_ENGINE" with
-  | None -> Atpg_only
-  | Some s -> (
-    try engines_of_string (String.trim s)
-    with Invalid_argument msg ->
-      Printf.eprintf "RFN_ENGINE ignored: %s\n%!" msg;
-      Atpg_only)
-
-(* Engine selection, in one place: the falsification engines a site
-   tries for [engines], in order, as supervisor rungs — the first of
-   kind [first], the rest fallbacks. Also returns the failure
-   attribution of the first engine. Adding or removing an engine edits
-   this function only. *)
-let engine_ladder engines ~first ~atpg ~sat =
-  let rung kind (label, thunk) = (kind, label, thunk) in
-  match engines with
-  | Atpg_only -> (F.Seq_atpg, [ rung first atpg ])
-  | Sat_only -> (F.Sat, [ rung first sat ])
-  | Portfolio ->
-    (F.Seq_atpg, [ rung first atpg; rung Supervisor.Fallback sat ])
 
 type config = {
   max_iterations : int;
@@ -68,13 +29,11 @@ type config = {
   abstract_atpg : Atpg.limits;
   concrete_atpg : Atpg.limits;
   guidance_traces : int;
-  engines : engines;
   analyze : bool;
       (* run the static invariant-inference pre-flight
          (Rfn_analysis.Analysis) once per session and feed the proven
-         invariants to every engine: a care set for the abstract
-         fixpoint, persistent clauses for the SAT unrollings, a
-         don't-care filter for guided ATPG *)
+         invariants to the loop: a care set for the abstract fixpoint
+         and a don't-care filter for guided ATPG *)
   supervisor : Supervisor.policy;
   inject : (Supervisor.site -> Supervisor.fault option) option;
   session : Session.policy;
@@ -99,7 +58,6 @@ let default_config =
     abstract_atpg = { Atpg.max_backtracks = 50_000; max_seconds = Some 20.0 };
     concrete_atpg = { Atpg.max_backtracks = 200_000; max_seconds = Some 60.0 };
     guidance_traces = 1;
-    engines = engines_of_env ();
     analyze = false;
     supervisor = Supervisor.default_policy;
     inject = None;
@@ -316,11 +274,10 @@ let verify_in_session ?(config = default_config) session prop =
       let retries0 = Telemetry.counter_value c_sup_retries in
       let fallbacks0 = Telemetry.counter_value c_sup_fallbacks in
       let injected0 = Telemetry.counter_value c_sup_injected in
-      let learned0 = Telemetry.counter_value c_sat_learned in
       let backtracks0 = Telemetry.counter_value c_atpg_backtracks in
       let record ?cut_size ?(no_cut = 0) ?(min_cut = 0) ?trace_length
           ?(candidates = 0) ?(added = 0) ?(cubes = 0) ?(guidance = 0)
-          ?(engine = "") ?(concretize = "none") ?(promoted = []) ?regs_after
+          ?(concretize = "none") ?(promoted = []) ?regs_after
           ~outcome steps =
         iterations :=
           {
@@ -348,7 +305,6 @@ let verify_in_session ?(config = default_config) session prop =
             cut_size;
             cubes;
             guidance;
-            engine;
             concretize;
             promoted;
             candidates;
@@ -357,7 +313,6 @@ let verify_in_session ?(config = default_config) session prop =
             injected = Telemetry.counter_value c_sup_injected - injected0;
             bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
             bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
-            sat_learned = Telemetry.counter_value c_sat_learned - learned0;
             backtracks =
               Telemetry.counter_value c_atpg_backtracks - backtracks0;
             seconds = Telemetry.now () -. iter_started;
@@ -538,50 +493,30 @@ let verify_in_session ?(config = default_config) session prop =
                   * List.fold_left
                       (fun acc h -> acc + Trace.length h.Hybrid.trace)
                       0 hybrids)
-                ~guidance:(List.length hybrids)
-                ~engine:(engines_to_string config.engines)
-                ~concretize ~candidates ~added ~promoted ?regs_after ~outcome
-                res.Reach.steps
+                ~guidance:(List.length hybrids) ~concretize ~candidates ~added
+                ~promoted ?regs_after ~outcome res.Reach.steps
             in
-            (* Step 3: search on the original design. A failure here is
-               never fatal — an injected or resource failure degrades to
-               a give-up, which escalates the backtrack budget for the
-               next iteration and refines. Ladder per [engine_ladder]:
-               a give-up is an [Error], so in portfolio mode an ATPG
-               give-up escalates to SAT-guided BMC at the same depth
-               before the loop settles for refinement. *)
+            (* Step 3: guided sequential ATPG on the original design. A
+               failure here is never fatal — an injected or resource
+               failure degrades to a give-up, which escalates the
+               backtrack budget for the next iteration and refines. *)
             let guidance = List.map (fun h -> h.Hybrid.trace) hybrids in
-            let as_rung outcome =
-              match outcome with
-              | Concretize.Gave_up r -> Error r
-              | outcome -> Ok outcome
-            in
-            let atpg_rung () =
-              let outcome, _stats =
+            let guided_atpg () =
+              match
                 Concretize.guided_any
                   ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
                   ?analysis circuit ~bad ~abstract_traces:guidance
-              in
-              as_rung outcome
-            in
-            let sat_rung () =
-              let outcome, _stats =
-                Sat_bmc.concretize
-                  ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                  ?analysis circuit ~bad ~abstract_traces:guidance
-              in
-              as_rung outcome
-            in
-            let concretize_engine, concretize_rungs =
-              engine_ladder config.engines ~first:Supervisor.Primary
-                ~atpg:("guided-atpg", atpg_rung) ~sat:("guided-sat", sat_rung)
+              with
+              | Concretize.Gave_up r, _ -> Error r
+              | outcome, _ -> Ok outcome
             in
             let concrete =
               Telemetry.with_span "rfn.concretize" ~attrs (fun () ->
                   match
                     Supervisor.run sup ~site:Supervisor.Concretize
-                      ~engine:concretize_engine ~phase:F.Concretization
-                      ~iteration:iter concretize_rungs
+                      ~engine:F.Seq_atpg ~phase:F.Concretization
+                      ~iteration:iter
+                      [ (Supervisor.Primary, "guided-atpg", guided_atpg) ]
                   with
                   | Ok outcome -> outcome
                   | Error failure ->
@@ -594,8 +529,8 @@ let verify_in_session ?(config = default_config) session prop =
               | Concretize.Not_found_here -> "not-found"
               | Concretize.Gave_up r -> "gave-up:" ^ F.resource_to_string r
             in
-            let check_concrete_trace ~engine t =
-              check ~iter ~engine ~phase:F.Concretization
+            let check_concrete_trace t =
+              check ~iter ~engine:F.Seq_atpg ~phase:F.Concretization
                 ~what:"concrete counterexample" (fun () ->
                   Rfn_lint.Check.trace
                     (Sview.whole circuit ~roots:[])
@@ -603,7 +538,7 @@ let verify_in_session ?(config = default_config) session prop =
             in
             match concrete with
             | Concretize.Found t ->
-              check_concrete_trace ~engine:concretize_engine t;
+              check_concrete_trace t;
               record_hybrid ~concretize:concretize_desc ~outcome:"falsified"
                 ();
               Log.info (fun m -> m "concrete counterexample found");
@@ -657,32 +592,15 @@ let verify_in_session ?(config = default_config) session prop =
                 | Bmc.Exhausted, _ -> Error F.No_refinement
                 | Bmc.Gave_up _, _ -> Error F.Backtracks
               in
-              let sat_recheck () =
-                match
-                  Sat_bmc.falsify
-                    ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                    ?analysis circuit ~bad
-                    ~max_depth:(Trace.length abstract_trace)
-                with
-                | Bmc.Found t, _ -> Ok (`Cex t)
-                | Bmc.Exhausted, _ -> Error F.No_refinement
-                | Bmc.Gave_up _, _ -> Error F.Conflicts
-              in
-              let _, recheck_rungs =
-                engine_ladder config.engines ~first:Supervisor.Fallback
-                  ~atpg:("bmc-recheck", bmc_recheck)
-                  ~sat:("sat-bmc-recheck", sat_recheck)
-              in
-              let refine_rungs =
-                (Supervisor.Primary, "crucial-registers", crucial)
-                :: (Supervisor.Fallback, "highest-fanout", highest_fanout)
-                :: recheck_rungs
-              in
               let refinement =
                 Telemetry.with_span "rfn.refine" ~attrs (fun () ->
                     Supervisor.run sup ~site:Supervisor.Refine
                       ~engine:F.Seq_atpg ~phase:F.Refinement ~iteration:iter
-                      refine_rungs)
+                      [
+                        (Supervisor.Primary, "crucial-registers", crucial);
+                        (Supervisor.Fallback, "highest-fanout", highest_fanout);
+                        (Supervisor.Fallback, "bmc-recheck", bmc_recheck);
+                      ])
               in
               Rfn_obs.Sampler.tick "rfn.refine";
               match refinement with
@@ -708,7 +626,7 @@ let verify_in_session ?(config = default_config) session prop =
                     | Some vm -> Rfn_lint.Check.varmap vm);
                 iterate (iter + 1)
               | Ok (`Cex t) ->
-                check_concrete_trace ~engine:F.Seq_atpg t;
+                check_concrete_trace t;
                 record_hybrid ~concretize:concretize_desc
                   ~outcome:"falsified" ();
                 Log.info (fun m ->

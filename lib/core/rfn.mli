@@ -20,30 +20,12 @@
     grown node budget, a min-cut extraction failure falls back to pure
     pre-image, a concretization give-up escalates the ATPG backtrack
     budget for later iterations, and an empty refinement falls back to
-    the highest-fanout pseudo-input and finally a BMC re-check. Failures
-    that survive the ladders surface as [Aborted] with a structured
+    the highest-fanout pseudo-input and finally a BMC re-check. Steps 3
+    and 4 always run sequential ATPG ({!Concretize}, {!Bmc}); the
+    incremental-SAT twin {!Sat_bmc} is a stand-alone baseline and
+    differential oracle, not a rung of the loop. Failures that survive
+    the ladders surface as [Aborted] with a structured
     {!Rfn_failure.t}. *)
-
-type engines =
-  | Atpg_only  (** the paper's engines only: guided sequential ATPG *)
-  | Sat_only
-      (** replace guided ATPG and the BMC re-check with their
-          incremental-SAT twins ({!Sat_bmc}) *)
-  | Portfolio
-      (** ATPG first, SAT as an extra supervisor rung: a concretization
-          give-up escalates to SAT-guided BMC at the same depth, and the
-          empty-refinement BMC re-check gains a SAT twin *)
-
-val engines_to_string : engines -> string
-
-val engines_of_string : string -> engines
-(** Inverse of {!engines_to_string} ([atpg] / [sat] / [portfolio]).
-    Raises [Invalid_argument] on anything else. *)
-
-val engines_of_env : unit -> engines
-(** Reads the [RFN_ENGINE] environment variable; unset means
-    {!Atpg_only}, an unknown value warns on stderr and falls back to
-    {!Atpg_only}. *)
 
 type config = {
   max_iterations : int;
@@ -64,25 +46,17 @@ type config = {
       (** how many abstract error traces to extract and try as guidance
           for the concrete search (default 1; values above 1 implement
           the paper's future-work multi-trace guidance) *)
-  engines : engines;
-      (** which Step-3/Step-4 falsification engines run, and in what
-          order: both the concretization ladder and the empty-refinement
-          BMC re-check are built from this one selection, so engines
-          only ever cover for each other as successive supervisor rungs
-          (default {!engines_of_env}, i.e. [RFN_ENGINE] or
-          {!Atpg_only}) *)
   analyze : bool;
       (** run the static invariant-inference pre-flight
           ({!Rfn_analysis.Analysis.run}) on the concrete netlist before
           the loop, once per session (a session seeded with
           {!Session.set_analysis} reuses the result — invariants are
           facts about the design, not the property).
-          The inductively *proved* invariants then feed every engine:
-          a care-set restriction of the abstract fixpoint, persistent
-          clauses in both SAT unrollings, and a reachability don't-care
-          filter for guided ATPG. Unproven candidates are never
-          consumed, so the verdict cannot change — only the work to
-          reach it. Default [false] *)
+          The inductively *proved* invariants then feed the loop: a
+          care-set restriction of the abstract fixpoint and a
+          reachability don't-care filter for guided ATPG. Unproven
+          candidates are never consumed, so the verdict cannot change —
+          only the work to reach it. Default [false] *)
   supervisor : Supervisor.policy;
       (** retry/escalation/fallback and deadline-sharing knobs *)
   inject : (Supervisor.site -> Supervisor.fault option) option;

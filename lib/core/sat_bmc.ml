@@ -8,14 +8,13 @@ module Telemetry = Rfn_obs.Telemetry
 module Check = Rfn_lint.Check
 
 let c_falsify = Telemetry.counter "sat_bmc.falsify_calls"
-let c_concretize = Telemetry.counter "sat_bmc.concretize_calls"
 let c_found = Telemetry.counter "sat_bmc.found"
 
 let limits_of_atpg (l : Atpg.limits) =
   { Solver.max_conflicts = l.Atpg.max_backtracks;
     max_seconds = l.Atpg.max_seconds }
 
-(* Persistent invariant clauses: both unrollings here start from the
+(* Persistent invariant clauses: the unrolling starts from the
    initial states (frame-0 registers clamped), so every frame holds a
    reachable state and the proven invariants may be asserted at each
    newly encoded frame. *)
@@ -27,32 +26,14 @@ let assume_invariants analysis unr ~from =
       ignore (Rfn_analysis.Analysis.assume_frame a unr ~frame:f)
     done
 
-(* Pins of an abstract trace, cycle by cycle (the cubes only constrain
-   registers and inputs, both of which have frame literals on the whole
-   design). *)
-let trace_pins trace =
-  let pins = ref [] in
-  for j = 0 to Trace.length trace - 1 do
-    let add cube =
-      List.iter
-        (fun (s, v) -> pins := (j, s, v) :: !pins)
-        (Cube.to_list cube)
-    in
-    add (Trace.state trace j);
-    add (Trace.input trace j)
-  done;
-  !pins
-
-(* CNF sanity + assumption-pin totality under RFN_CHECK: returns the
-   violation message instead of raising, so the BMC loops can degrade
-   into their give-up outcomes. *)
-let unrolling_violation ~what unr ~pins =
-  if not (Check.env_enabled ()) then None
-  else
-    match Check.ensure ~what (Check.cnf unr @ Check.pins unr pins) with
-    | () -> None
-    | exception Check.Violation (w, fs) ->
-      Some (Check.violation_message w fs)
+(* CNF sanity under RFN_CHECK. A violation is on the check.* counters
+   and the sink; the caller degrades it into a give-up. *)
+let unrolling_ok unr =
+  (not (Check.env_enabled ()))
+  ||
+  match Check.ensure ~what:"sat_bmc.falsify unrolling" (Check.cnf unr) with
+  | () -> true
+  | exception Check.Violation _ -> false
 
 let falsify ?(limits = Atpg.default_limits) ?analysis circuit ~bad ~max_depth =
   Telemetry.incr c_falsify;
@@ -66,80 +47,24 @@ let falsify ?(limits = Atpg.default_limits) ?analysis circuit ~bad ~max_depth =
       let encoded = Cnf.frames unr in
       Cnf.extend unr ~frames:depth;
       assume_invariants analysis unr ~from:encoded;
-      match unrolling_violation ~what:"sat_bmc.falsify unrolling" unr ~pins:[]
-      with
-      | Some _ ->
-        (* the violation is on the check.* counters and the sink *)
-        (Bmc.Gave_up depth, Solver.stats solver)
-      | None -> (
-      let target = Cnf.lit_of unr ~frame:(depth - 1) bad in
-      match
-        Telemetry.with_span "sat_bmc.solve"
-          ~attrs:[ ("depth", Rfn_obs.Json.Int depth) ]
-          (fun () ->
-            Solver.solve ~limits:solver_limits ~assumptions:[ target ] solver)
-      with
-      | Solver.Sat ->
-        let t = Cnf.trace unr ~frames:depth in
-        if Sim3v.replay_concrete circuit t ~bad then begin
-          Telemetry.incr c_found;
-          (Bmc.Found t, Solver.stats solver)
-        end
-        else (Bmc.Gave_up depth, Solver.stats solver) (* engine bug guard *)
-      | Solver.Unsat -> deepen (depth + 1)
-      | Solver.Unknown _ -> (Bmc.Gave_up depth, Solver.stats solver))
+      if not (unrolling_ok unr) then (Bmc.Gave_up depth, Solver.stats solver)
+      else
+        let target = Cnf.lit_of unr ~frame:(depth - 1) bad in
+        match
+          Telemetry.with_span "sat_bmc.solve"
+            ~attrs:[ ("depth", Rfn_obs.Json.Int depth) ]
+            (fun () ->
+              Solver.solve ~limits:solver_limits ~assumptions:[ target ] solver)
+        with
+        | Solver.Sat ->
+          let t = Cnf.trace unr ~frames:depth in
+          if Sim3v.replay_concrete circuit t ~bad then begin
+            Telemetry.incr c_found;
+            (Bmc.Found t, Solver.stats solver)
+          end
+          else (Bmc.Gave_up depth, Solver.stats solver) (* engine bug guard *)
+        | Solver.Unsat -> deepen (depth + 1)
+        | Solver.Unknown _ -> (Bmc.Gave_up depth, Solver.stats solver)
     end
   in
   deepen 1
-
-let concretize ?(limits = Atpg.default_limits) ?analysis circuit ~bad
-    ~abstract_traces =
-  if abstract_traces = [] then
-    invalid_arg "Sat_bmc.concretize: no abstract traces";
-  Telemetry.incr c_concretize;
-  let view = Sview.whole circuit ~roots:[ bad ] in
-  let unr = Cnf.create view in
-  let solver = Cnf.solver unr in
-  let solver_limits = limits_of_atpg limits in
-  let rec go gave_up = function
-    | [] ->
-      ( (match gave_up with
-        | None -> Concretize.Not_found_here
-        | Some r -> Concretize.Gave_up r),
-        Solver.stats solver )
-    | tr :: rest -> (
-      let frames = Trace.length tr in
-      let encoded = Cnf.frames unr in
-      Cnf.extend unr ~frames;
-      assume_invariants analysis unr ~from:encoded;
-      let pins = trace_pins tr in
-      match
-        unrolling_violation ~what:"sat_bmc.concretize unrolling" unr ~pins
-      with
-      | Some msg ->
-        (Concretize.Gave_up (Rfn_failure.Invariant msg), Solver.stats solver)
-      | None -> (
-      let assumptions =
-        Cnf.lit_of unr ~frame:(frames - 1) bad
-        :: Cnf.assumptions_of_pins unr pins
-      in
-      match
-        Telemetry.with_span "sat_bmc.concretize"
-          ~attrs:[ ("frames", Rfn_obs.Json.Int frames) ]
-          (fun () -> Solver.solve ~limits:solver_limits ~assumptions solver)
-      with
-      | Solver.Sat ->
-        let t = Cnf.trace unr ~frames in
-        if Sim3v.replay_concrete circuit t ~bad then begin
-          Telemetry.incr c_found;
-          (Concretize.Found t, Solver.stats solver)
-        end
-        else
-          (* engine bug guard: never report unvalidated *)
-          ( Concretize.Gave_up
-              (Rfn_failure.Invariant "unvalidated SAT counterexample"),
-            Solver.stats solver )
-      | Solver.Unsat -> go gave_up rest
-      | Solver.Unknown r -> go (Some r) rest))
-  in
-  go None abstract_traces

@@ -5,22 +5,11 @@
     incremental CNF instance (Eén, Mishchenko & Amla's single-instance
     formulation) instead of re-running sequential ATPG from scratch.
     The per-depth target is one assumption literal, so learned clauses
-    survive across depths and across guided queries.
+    survive across depths.
 
-    Two modes are wired into the CEGAR loop:
-    - {!falsify} mirrors [Bmc.falsify] exactly (same outcome type, same
-      shortest-counterexample guarantee) and serves as the SAT twin of
-      the empty-refinement BMC re-check;
-    - {!concretize} is the guided mode: the abstract error trace's
-      constraint cubes are conjoined cycle by cycle as assumptions, so
-      it can replace (or back up) guided ATPG as the Step-3
-      concretizer. *)
-
-val limits_of_atpg : Rfn_atpg.Atpg.limits -> Rfn_sat.Solver.limits
-(** Map an ATPG resource budget onto the SAT solver: backtracks become
-    conflicts one-for-one, the wall-clock budget carries over. Keeps
-    the supervisor's deadline budgeting uniform across both engine
-    families. *)
+    It is not a rung of the CEGAR loop, whose Steps 3 and 4 always run
+    sequential ATPG. It is the [rfn bmc --engine sat] baseline and the
+    differential oracle for {!Bmc.falsify}. *)
 
 val falsify :
   ?limits:Rfn_atpg.Atpg.limits ->
@@ -33,25 +22,11 @@ val falsify :
     order on one incremental instance, a [Found] trace is a shortest
     counterexample and is validated by concrete replay before being
     reported. Statistics are the solver's lifetime totals for this
-    instance.
+    instance. [limits] maps onto the solver: backtracks become
+    conflicts one-for-one, the wall-clock budget carries over.
 
     [analysis] asserts the proven invariants as persistent clauses at
     every encoded frame ({!Rfn_analysis.Analysis.assume_frame}) —
     sound because the unrolling starts from the initial states, so
     every frame holds a reachable state. The clauses prune the search
     without removing any genuine counterexample. *)
-
-val concretize :
-  ?limits:Rfn_atpg.Atpg.limits ->
-  ?analysis:Rfn_analysis.Analysis.t ->
-  Rfn_circuit.Circuit.t ->
-  bad:int ->
-  abstract_traces:Rfn_circuit.Trace.t list ->
-  Concretize.outcome * Rfn_sat.Solver.stats
-(** SAT-guided concretization: for each abstract trace, solve the
-    whole design unrolled to the trace's length under assumptions
-    pinning every state/input literal of the trace's constraint cubes
-    plus the bad signal at the last frame. Traces are tried in order on
-    the shared instance; a satisfying assignment is validated by replay
-    like [Concretize.guided_any]. Raises [Invalid_argument] on an empty
-    trace list. *)

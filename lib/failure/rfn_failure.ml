@@ -1,4 +1,4 @@
-type engine = Bdd_mc | Hybrid | Seq_atpg | Bmc | Sat | Cegar
+type engine = Bdd_mc | Hybrid | Seq_atpg | Cegar
 
 type phase =
   | Abstract_mc
@@ -42,8 +42,6 @@ let engine_to_string = function
   | Bdd_mc -> "BDD fixpoint engine"
   | Hybrid -> "hybrid engine"
   | Seq_atpg -> "sequential ATPG engine"
-  | Bmc -> "BMC engine"
-  | Sat -> "SAT engine"
   | Cegar -> "CEGAR driver"
 
 let phase_to_string = function
@@ -89,8 +87,6 @@ let engine_tag = function
   | Bdd_mc -> "bdd_mc"
   | Hybrid -> "hybrid"
   | Seq_atpg -> "seq_atpg"
-  | Bmc -> "bmc"
-  | Sat -> "sat"
   | Cegar -> "cegar"
 
 let phase_tag = function

@@ -18,9 +18,9 @@
 type engine =
   | Bdd_mc  (** symbolic fixpoint on the abstract model *)
   | Hybrid  (** BDD–ATPG trace extraction *)
-  | Seq_atpg  (** sequential ATPG (concretization, refinement checks) *)
-  | Bmc  (** bounded falsification fallback *)
-  | Sat  (** incremental SAT bounded model checking *)
+  | Seq_atpg
+      (** sequential ATPG (concretization, refinement checks, the BMC
+          re-check) *)
   | Cegar  (** the abstraction-refinement driver itself *)
 
 type phase =

@@ -208,25 +208,3 @@ let cnf u =
   if !nbad > 5 then
     acc := check ~pass:"cnf" "(%d further clause violations)" (!nbad - 5) :: !acc;
   List.rev !acc
-
-let pins u pl =
-  let nframes = Cnf.frames u in
-  let c = (Cnf.view u).Sview.circuit in
-  let known s = s >= 0 && s < Circuit.num_signals c in
-  let name s = if known s then Circuit.name c s else Printf.sprintf "#%d" s in
-  List.filter_map
-    (fun (frame, signal, _) ->
-      let signals = if known signal then [ signal ] else [] in
-      if frame < 0 || frame >= nframes then
-        Some
-          (check ~pass:"pins" ~signals
-             "pin on %S targets frame %d, but only %d frame(s) are encoded"
-             (name signal) frame nframes)
-      else
-        match Cnf.lit_of_opt u ~frame signal with
-        | Some _ -> None
-        | None ->
-          Some
-            (check ~pass:"pins" ~signals
-               "pin on %S has no literal at frame %d" (name signal) frame))
-    pl

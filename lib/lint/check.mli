@@ -53,7 +53,3 @@ val cnf : Rfn_sat.Cnf.t -> Lint.finding list
 (** CNF sanity over every clause attached to the unrolling's solver
     (original and learned): no duplicate or complementary literals
     within a clause, every literal over an allocated variable. *)
-
-val pins : Rfn_sat.Cnf.t -> (int * int * bool) list -> Lint.finding list
-(** Assumption pins [(frame, signal, value)] must target encoded
-    frames and signals the frame map carries a literal for. *)

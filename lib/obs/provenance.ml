@@ -8,7 +8,6 @@ type t = {
   cut_size : int option;
   cubes : int;
   guidance : int;
-  engine : string;
   concretize : string;
   promoted : string list;
   candidates : int;
@@ -17,7 +16,6 @@ type t = {
   injected : int;
   bdd_nodes : int;
   bdd_peak : int;
-  sat_learned : int;
   backtracks : int;
   seconds : float;
   outcome : string;
@@ -39,7 +37,6 @@ let to_fields p =
     ("cut_size", opt_int_json p.cut_size);
     ("cubes", Json.Int p.cubes);
     ("guidance", Json.Int p.guidance);
-    ("engine", Json.Str p.engine);
     ("concretize", Json.Str p.concretize);
     ("promoted", Json.List (List.map (fun s -> Json.Str s) p.promoted));
     ("candidates", Json.Int p.candidates);
@@ -48,7 +45,6 @@ let to_fields p =
     ("injected", Json.Int p.injected);
     ("bdd_nodes", Json.Int p.bdd_nodes);
     ("bdd_peak", Json.Int p.bdd_peak);
-    ("sat_learned", Json.Int p.sat_learned);
     ("backtracks", Json.Int p.backtracks);
     ("seconds", float_json p.seconds);
     ("outcome", Json.Str p.outcome);
@@ -99,7 +95,6 @@ let of_json j =
   let* cut_size = opt_int "cut_size" in
   let* cubes = int "cubes" in
   let* guidance = int "guidance" in
-  let* engine = str "engine" in
   let* concretize = str "concretize" in
   let* promoted = str_list "promoted" in
   let* candidates = int "candidates" in
@@ -108,16 +103,15 @@ let of_json j =
   let* injected = int "injected" in
   let* bdd_nodes = int "bdd_nodes" in
   let* bdd_peak = int "bdd_peak" in
-  let* sat_learned = int "sat_learned" in
   let* backtracks = int "backtracks" in
   let* seconds = flt "seconds" in
   let* outcome = str "outcome" in
   Ok
     {
       iter; regs_before; regs_after; model_inputs; fixpoint_steps;
-      trace_depth; cut_size; cubes; guidance; engine; concretize; promoted;
-      candidates; retries; fallbacks; injected; bdd_nodes;
-      bdd_peak; sat_learned; backtracks; seconds; outcome;
+      trace_depth; cut_size; cubes; guidance; concretize; promoted;
+      candidates; retries; fallbacks; injected; bdd_nodes; bdd_peak;
+      backtracks; seconds; outcome;
     }
 
 (* ---- narrative ------------------------------------------------------- *)
@@ -135,7 +129,7 @@ let pp ppf p =
     | Some c -> Format.fprintf ppf " (cut %d, %d cubes)" c p.cubes
     | None -> Format.fprintf ppf " (%d cubes)" p.cubes));
   if p.concretize <> "none" then
-    Format.fprintf ppf "; concretize[%s]: %s" p.engine p.concretize;
+    Format.fprintf ppf "; concretize: %s" p.concretize;
   (match p.promoted with
   | [] -> ()
   | regs ->
@@ -152,8 +146,6 @@ let pp ppf p =
       (if p.fallbacks = 1 then "" else "s")
       p.injected;
   Format.fprintf ppf "; bdd %d live / %d peak nodes" p.bdd_nodes p.bdd_peak;
-  if p.sat_learned > 0 then
-    Format.fprintf ppf "; sat +%d learned" p.sat_learned;
   if p.backtracks > 0 then
     Format.fprintf ppf "; atpg %d backtracks" p.backtracks;
   Format.fprintf ppf "; %.3fs -> %s" p.seconds p.outcome

@@ -13,7 +13,8 @@
     serialize as JSON [null] and parse back as [0.0] (the JSON layer
     cannot represent them), and unknown fields are ignored on input so
     old readers survive new writers and retired fields (such as
-    [worker_failures]) in old files still decode. *)
+    [worker_failures], [engine] and [sat_learned]) in old files still
+    decode. *)
 
 type t = {
   iter : int;  (** 1-based iteration number *)
@@ -25,9 +26,6 @@ type t = {
   cut_size : int option;  (** min-cut width of the extraction, if the hybrid ran *)
   cubes : int;  (** state+input cubes across all guidance traces *)
   guidance : int;  (** abstract guidance traces extracted *)
-  engine : string;
-      (** concretization engine family ("atpg" / "sat" / "portfolio";
-          "" when concretization never ran) *)
   concretize : string;
       (** "found" | "not-found" | "gave-up:<resource>" | "none" *)
   promoted : string list;  (** names of registers/pseudo-inputs promoted *)
@@ -37,7 +35,6 @@ type t = {
   injected : int;  (** faults injected this iteration *)
   bdd_nodes : int;  (** live BDD nodes at iteration end *)
   bdd_peak : int;  (** peak live BDD nodes so far *)
-  sat_learned : int;  (** SAT learned clauses added this iteration *)
   backtracks : int;  (** concrete ATPG backtracks this iteration *)
   seconds : float;  (** wall-clock seconds spent in the iteration *)
   outcome : string;

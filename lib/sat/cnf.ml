@@ -150,13 +150,6 @@ let lit_of_opt t ~frame s =
     if s < 0 || s >= Array.length m then None
     else match m.(s) with l when l < 0 -> None | l -> Some l
 
-let assumptions_of_pins t pins =
-  List.map
-    (fun (frame, s, v) ->
-      let l = lit_of t ~frame s in
-      if v then l else Solver.neg l)
-    pins
-
 let trace t ~frames =
   let cube signals frame =
     Cube.of_list

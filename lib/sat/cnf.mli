@@ -37,10 +37,6 @@ val lit_of_opt : t -> frame:int -> int -> Solver.lit option
 (** Non-raising probe for {!lit_of}: [None] when the frame is not yet
     encoded or the signal carries no literal there. *)
 
-val assumptions_of_pins : t -> (int * int * bool) list -> Solver.lit list
-(** Translate ATPG-style pins [(frame, signal, value)] into assumption
-    literals. *)
-
 val trace : t -> frames:int -> Rfn_circuit.Trace.t
 (** Read the solver's model back as an error trace over the view's
     registers and free inputs: [frames] state cubes and [frames] input

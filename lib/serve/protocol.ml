@@ -1,5 +1,4 @@
 module Json = Rfn_obs.Json
-module Rfn = Rfn_core.Rfn
 
 type design = File of string | Netlist of string
 
@@ -8,7 +7,6 @@ type budget = {
   node_limit : int option;
   mc_max_steps : int option;
   max_seconds : float option;
-  engines : Rfn.engines option;
   analyze : bool option;
 }
 
@@ -18,7 +16,6 @@ let no_budget =
     node_limit = None;
     mc_max_steps = None;
     max_seconds = None;
-    engines = None;
     analyze = None;
   }
 
@@ -63,13 +60,12 @@ let request_of_json j =
       | Some _, Some _ -> Error "both \"design\" and \"netlist\" given"
       | None, None -> Error "one of \"design\" or \"netlist\" is required"
     in
-    let* engines =
-      match str "engines" with
-      | None -> Ok None
-      | Some s -> (
-        match Rfn.engines_of_string s with
-        | e -> Ok (Some e)
-        | exception Invalid_argument msg -> Error msg)
+    let* () =
+      if Option.is_none (Json.member "engines" j) then Ok ()
+      else
+        Error
+          "\"engines\" is no longer a submit field: concretization always \
+           runs guided sequential ATPG"
     in
     Ok
       (Submit
@@ -83,7 +79,6 @@ let request_of_json j =
                node_limit = int "node_limit";
                mc_max_steps = int "mc_max_steps";
                max_seconds = flt "max_seconds";
-               engines;
                analyze = boolean "analyze";
              };
          })
@@ -109,7 +104,4 @@ let submit_to_json s =
     @ opt "node_limit" (fun n -> Json.Int n) s.budget.node_limit
     @ opt "mc_max_steps" (fun n -> Json.Int n) s.budget.mc_max_steps
     @ opt "max_seconds" (fun f -> Json.Float f) s.budget.max_seconds
-    @ opt "engines"
-        (fun e -> Json.Str (Rfn.engines_to_string e))
-        s.budget.engines
     @ opt "analyze" (fun b -> Json.Bool b) s.budget.analyze)

@@ -6,7 +6,7 @@
     {"op":"submit","id":"j1","design":"fifo.bench","property":"psh_hf"}
     {"op":"submit","id":"j2","netlist":"INPUT(a)\n...","property":"bad",
      "max_iterations":32,"node_limit":500000,"mc_max_steps":200,
-     "max_seconds":60.0,"engines":"portfolio","analyze":true}
+     "max_seconds":60.0,"analyze":true}
     {"op":"status"}            {"op":"status","id":"j1"}
     {"op":"cancel","id":"j1"}
     {"op":"shutdown"}
@@ -29,7 +29,6 @@ type budget = {
   node_limit : int option;
   mc_max_steps : int option;
   max_seconds : float option;
-  engines : Rfn_core.Rfn.engines option;
   analyze : bool option;
       (** run the static invariant-inference pre-flight before the
           loop; the design cache ({!Pool}) means one analysis serves
@@ -55,7 +54,7 @@ type request =
 
 val request_of_json : Rfn_obs.Json.t -> (request, string) result
 (** Total: any shape violation (missing op, unknown op, missing id,
-    both or neither of design/netlist, unknown engine name) is an
+    both or neither of design/netlist, a retired ["engines"] field) is an
     [Error] with a message the server echoes back on an [error] line. *)
 
 val request_of_line : string -> (request, string) result

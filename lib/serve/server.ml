@@ -205,7 +205,6 @@ let config_of_job st (j : job) =
       (match b.Protocol.max_seconds with
       | Some s -> Some s
       | None -> st.base.Rfn.max_seconds);
-    engines = pick b.Protocol.engines st.base.Rfn.engines;
     analyze = pick b.Protocol.analyze st.base.Rfn.analyze;
     checkpoint;
     resume;

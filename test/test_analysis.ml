@@ -373,21 +373,15 @@ let check_parity name mk_config circuit prop =
     Alcotest.failf "%s: verdicts diverge: off=%s on=%s" name (show o0)
       (show o1)
 
-let base_config ?(inject = Some (fun _ -> None)) ~engines () =
-  { Rfn.default_config with Rfn.engines; inject; max_iterations = 32 }
+let base_config ?(inject = Some (fun _ -> None)) () =
+  { Rfn.default_config with Rfn.inject; max_iterations = 32 }
 
-let test_verify_parity_engines () =
+let test_verify_parity_zoo () =
   List.iter
-    (fun engines ->
-      List.iter
-        (fun (name, circuit, out) ->
-          let prop = Property.of_output circuit out in
-          check_parity
-            (Printf.sprintf "%s[%s]" name (Rfn.engines_to_string engines))
-            (fun () -> base_config ~engines ())
-            circuit prop)
-        (zoo ()))
-    [ Rfn.Atpg_only; Rfn.Sat_only; Rfn.Portfolio ]
+    (fun (name, circuit, out) ->
+      check_parity name (fun () -> base_config ()) circuit
+        (Property.of_output circuit out))
+    (zoo ())
 
 let test_verify_parity_chaos () =
   (* all-site fault injection: the supervisor ladders recover and the
@@ -397,9 +391,7 @@ let test_verify_parity_chaos () =
       let prop = Property.of_output circuit out in
       check_parity (name ^ "[chaos]")
         (fun () ->
-          base_config
-            ~inject:(Supervisor.inject_of_spec "all")
-            ~engines:Rfn.Portfolio ())
+          base_config ~inject:(Supervisor.inject_of_spec "all") ())
         circuit prop)
     [
       ("arbiter/bad", Helpers.arbiter_design (), "bad");
@@ -461,7 +453,7 @@ let test_const_chain_fewer_iterations () =
   let run analyze =
     match
       Rfn.verify
-        ~config:{ (base_config ~engines:Rfn.Atpg_only ()) with Rfn.analyze }
+        ~config:{ (base_config ()) with Rfn.analyze }
         c prop
     with
     | Rfn.Proved, stats -> List.length stats.Rfn.iterations
@@ -488,8 +480,8 @@ let tests =
       test_consumers_see_proved_only;
     Alcotest.test_case "a leaked refuted fact would mislead" `Quick
       test_wrong_invariant_would_mislead;
-    Alcotest.test_case "verify parity across engines" `Quick
-      test_verify_parity_engines;
+    Alcotest.test_case "verify parity on the zoo" `Quick
+      test_verify_parity_zoo;
     Alcotest.test_case "verify parity under chaos" `Quick
       test_verify_parity_chaos;
     Alcotest.test_case "sat-bmc parity with invariant clauses" `Quick

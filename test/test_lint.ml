@@ -341,14 +341,13 @@ let test_cnf_check () =
   let unr = Cnf.create view in
   Cnf.extend unr ~frames:3;
   Alcotest.(check int) "unrolling is clean" 0 (List.length (Check.cnf unr));
-  Alcotest.(check int) "valid pins" 0
-    (List.length (Check.pins unr [ (0, bad, true); (2, bad, false) ]));
-  Alcotest.(check bool)
-    "frame out of range caught" true
-    (Check.pins unr [ (3, bad, true) ] <> []);
-  Alcotest.(check bool)
-    "unencoded signal caught" true
-    (Check.pins unr [ (0, Circuit.num_signals c, true) ] <> [])
+  (* the pin-encodability probe the lint and analysis layers rely on *)
+  Alcotest.(check bool) "encoded pin" true
+    (Cnf.lit_of_opt unr ~frame:2 bad <> None);
+  Alcotest.(check bool) "frame out of range" true
+    (Cnf.lit_of_opt unr ~frame:3 bad = None);
+  Alcotest.(check bool) "unencoded signal" true
+    (Cnf.lit_of_opt unr ~frame:0 (Circuit.num_signals c) = None)
 
 (* Full CEGAR runs with phase-boundary checks on: outcomes unchanged,
    and the pass counter moves. *)

@@ -223,7 +223,6 @@ let sample_record =
     cut_size = Some 2;
     cubes = 16;
     guidance = 2;
-    engine = "portfolio";
     concretize = "not-found";
     promoted = [ "count_0"; "full_flag" ];
     candidates = 8;
@@ -232,7 +231,6 @@ let sample_record =
     injected = 0;
     bdd_nodes = 1234;
     bdd_peak = 5678;
-    sat_learned = 42;
     backtracks = 17;
     seconds = 0.125;
     outcome = "refined";
@@ -244,16 +242,24 @@ let test_provenance_roundtrip () =
   (match Provenance.of_json (Json.of_string (Json.to_string j)) with
   | Ok p -> Alcotest.(check bool) "round-trips exactly" true (p = sample_record)
   | Error f -> Alcotest.fail ("round-trip lost field " ^ f));
-  (* records written before the field was retired carry a
-     [worker_failures] key; they must still decode *)
+  (* records written before their fields were retired carry
+     [worker_failures], [engine] and [sat_learned] keys; they must
+     still decode *)
   let old =
     match j with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("worker_failures", Json.Int 2) ])
+    | Json.Obj fields ->
+      Json.Obj
+        (fields
+        @ [
+            ("worker_failures", Json.Int 2);
+            ("engine", Json.Str "portfolio");
+            ("sat_learned", Json.Int 42);
+          ])
     | _ -> Alcotest.fail "provenance json is not an object"
   in
   match Provenance.of_json (Json.of_string (Json.to_string old)) with
   | Ok p ->
-    Alcotest.(check bool) "old record with worker_failures decodes" true
+    Alcotest.(check bool) "old record with retired fields decodes" true
       (p = sample_record)
   | Error f -> Alcotest.fail ("old record rejected on field " ^ f)
 

@@ -108,7 +108,6 @@ let sample_provenance =
     cut_size = None;
     cubes = 8;
     guidance = 1;
-    engine = "atpg";
     concretize = "not-found";
     promoted = [ "r1"; "r2" ];
     candidates = 4;
@@ -117,7 +116,6 @@ let sample_provenance =
     injected = 0;
     bdd_nodes = 100;
     bdd_peak = 200;
-    sat_learned = 0;
     backtracks = 3;
     seconds = 0.5;
     outcome = "refined";
@@ -202,7 +200,6 @@ let config ?checkpoint ?(resume = false) ?(max_iterations = 32) () =
     node_limit = 500_000;
     mc_max_steps = 200;
     inject = Some (fun _ -> None);
-    engines = Rfn.Atpg_only;
     checkpoint;
     resume;
   }

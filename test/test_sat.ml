@@ -6,17 +6,12 @@
    - unit tests of the incremental interface (assumptions, budgets,
      reuse after Unsat-under-assumptions);
    - [Sat_bmc] against [Bmc] on the design zoo (same verdicts, same
-     shortest-counterexample depths), and the full CEGAR loop under
-     [--engine atpg|sat|portfolio] (same verdicts, validated traces),
-     with and without injected faults. *)
+     shortest-counterexample depths). *)
 
 open Rfn_circuit
 module Solver = Rfn_sat.Solver
 module Bmc = Rfn_core.Bmc
 module Sat_bmc = Rfn_core.Sat_bmc
-module Concretize = Rfn_core.Concretize
-module Rfn = Rfn_core.Rfn
-module Supervisor = Rfn_core.Supervisor
 module Sim3v = Rfn_sim3v.Sim3v
 module F = Rfn_failure
 
@@ -265,127 +260,6 @@ let test_bmc_differential () =
           (show atpg) (show sat))
     (zoo ())
 
-let test_sat_guided_concretize () =
-  (* The guided mode must find a concrete trace when handed the
-     concrete witness itself as "abstract" guidance, and report
-     Not_found_here for guidance that pins an unreachable cube. *)
-  let circuit = Helpers.counter_design ~width:3 ~limit:7 in
-  let bad = Circuit.output circuit "at_limit" in
-  match Bmc.falsify circuit ~bad ~max_depth:12 with
-  | Bmc.Found witness, _ -> (
-    (match Sat_bmc.concretize circuit ~bad ~abstract_traces:[ witness ] with
-    | Concretize.Found t, _ ->
-      Alcotest.(check bool)
-        "concretized trace replays" true
-        (Sim3v.replay_concrete circuit t ~bad)
-    | _ -> Alcotest.fail "guided SAT missed a concrete witness");
-    (* pin the final state to "counter still at 0" — contradicts the
-       target at every depth, so the guided query is unsat *)
-    let regs = circuit.Circuit.registers in
-    let zero =
-      Cube.of_list (Array.to_list (Array.map (fun r -> (r, false)) regs))
-    in
-    let states = Array.make (Trace.length witness) (Cube.of_list []) in
-    states.(Trace.length witness - 1) <- zero;
-    let inputs =
-      Array.make (Trace.length witness) (Cube.of_list [])
-    in
-    let contradiction = Trace.make ~states ~inputs in
-    match Sat_bmc.concretize circuit ~bad ~abstract_traces:[ contradiction ]
-    with
-    | Concretize.Not_found_here, _ -> ()
-    | Concretize.Found _, _ ->
-      Alcotest.fail "guided SAT satisfied contradictory guidance"
-    | Concretize.Gave_up r, _ ->
-      Alcotest.failf "guided SAT gave up: %s" (F.resource_to_string r))
-  | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
-
-(* ------------------------------------------------------------------ *)
-(* Engine modes through the full CEGAR loop                            *)
-(* ------------------------------------------------------------------ *)
-
-let quick_config ?(inject = Some (fun _ -> None)) ~engines () =
-  {
-    Rfn.default_config with
-    Rfn.max_iterations = 32;
-    node_limit = 500_000;
-    mc_max_steps = 200;
-    engines;
-    inject;
-  }
-
-let check_engine_modes ?spec name circuit prop =
-  let verdict engines =
-    let inject = Option.map Supervisor.inject_of_spec spec in
-    let outcome, _ =
-      Rfn.verify ~config:(quick_config ?inject ~engines ()) circuit prop
-    in
-    (match outcome with
-    | Rfn.Falsified t ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s(%s): trace replays" name
-           (Rfn.engines_to_string engines))
-        true
-        (Sim3v.replay_concrete circuit t ~bad:prop.Property.bad)
-    | _ -> ());
-    match outcome with
-    | Rfn.Proved -> "proved"
-    | Rfn.Falsified _ -> "falsified"
-    | Rfn.Aborted f -> "aborted: " ^ F.to_string f
-  in
-  let reference = verdict Rfn.Atpg_only in
-  List.iter
-    (fun engines ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s matches atpg" name
-           (Rfn.engines_to_string engines))
-        reference (verdict engines))
-    [ Rfn.Sat_only; Rfn.Portfolio ]
-
-let test_engine_modes_zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  List.iter
-    (fun (name, c, prop) -> check_engine_modes name c prop)
-    [
-      ( "arbiter/bad",
-        Helpers.arbiter_design (),
-        Property.of_output (Helpers.arbiter_design ()) "bad" );
-      ( "counter3/at_limit",
-        Helpers.counter_design ~width:3 ~limit:7,
-        Property.of_output (Helpers.counter_design ~width:3 ~limit:7)
-          "at_limit" );
-      ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf);
-      ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full);
-    ]
-
-let test_engine_modes_chaos () =
-  (* Injected faults at every site: the portfolio's extra rungs must
-     absorb them without changing any verdict. *)
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  List.iter
-    (fun (name, c, prop) -> check_engine_modes ~spec:"all" name c prop)
-    [
-      ( "arbiter/bad+chaos",
-        Helpers.arbiter_design (),
-        Property.of_output (Helpers.arbiter_design ()) "bad" );
-      ("fifo_small/psh_full+chaos", fc, fifo.Rfn_designs.Fifo.psh_full);
-    ]
-
-let test_engines_of_string () =
-  List.iter
-    (fun e ->
-      Alcotest.(check bool)
-        (Rfn.engines_to_string e ^ " round-trips")
-        true
-        (Rfn.engines_of_string (Rfn.engines_to_string e) = e))
-    [ Rfn.Atpg_only; Rfn.Sat_only; Rfn.Portfolio ];
-  Alcotest.check_raises "unknown engine rejected"
-    (Invalid_argument
-       "unknown engine selection \"smt\" (expected atpg, sat or portfolio)")
-    (fun () -> ignore (Rfn.engines_of_string "smt"))
-
 let () =
   (* keep the differentials deterministic under the chaos CI job *)
   Unix.putenv "RFN_INJECT_FAULTS" "";
@@ -406,15 +280,5 @@ let () =
         [
           Alcotest.test_case "zoo differential vs ATPG BMC" `Quick
             test_bmc_differential;
-          Alcotest.test_case "guided concretization" `Quick
-            test_sat_guided_concretize;
-        ] );
-      ( "engines",
-        [
-          Alcotest.test_case "zoo verdicts across engine modes" `Quick
-            test_engine_modes_zoo;
-          Alcotest.test_case "engine modes under chaos" `Quick
-            test_engine_modes_chaos;
-          Alcotest.test_case "selection parsing" `Quick test_engines_of_string;
         ] );
     ]

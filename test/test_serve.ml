@@ -95,8 +95,7 @@ let test_protocol_roundtrip () =
       "max_seconds" (Some 1.5) s.Protocol.budget.Protocol.max_seconds;
     Alcotest.(check bool)
       "unset budget fields stay None" true
-      (s.Protocol.budget.Protocol.node_limit = None
-      && s.Protocol.budget.Protocol.engines = None)
+      (s.Protocol.budget.Protocol.node_limit = None)
   | Ok _ -> Alcotest.fail "expected a submit request"
   | Error e -> Alcotest.fail e
 
@@ -114,8 +113,19 @@ let test_protocol_malformed () =
       {|{"op":"submit","id":"j","property":"bad"}|};
       {|{"op":"submit","id":"j","design":"a","netlist":"b","property":"p"}|};
       {|{"op":"submit","id":"j","design":"a","property":"p","engines":"warp"}|};
+      {|{"op":"submit","id":"j","design":"a","property":"p","engines":"atpg"}|};
       {|{"op":"cancel"}|};
-    ]
+    ];
+  (* a client that asks for an engine must learn the field is gone,
+     not be run silently on guided ATPG *)
+  match
+    Protocol.request_of_line
+      {|{"op":"submit","id":"j","design":"a","property":"p","engines":"sat"}|}
+  with
+  | Error msg ->
+    Alcotest.(check bool) "error names the field" true
+      (String.starts_with ~prefix:{|"engines"|} msg)
+  | Ok _ -> Alcotest.fail "accepted a submit with an engines field"
 
 (* ---- checkpoint job key --------------------------------------------- *)
 
