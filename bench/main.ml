@@ -353,68 +353,6 @@ let sim_phase ~quick ~workloads () =
       ("agree", Json.Bool !agree);
     ]
 
-(* ---- static-analysis phase (invariant inference) -------------------- *)
-
-(* The [--analyze] differential: the same property verified with the
-   invariant pre-flight off and on. Verdicts must agree (the pre-flight
-   only consumes proven facts); the constant-chain design is the
-   committed witness that the care set actually buys something — the
-   fixpoint closes without any refinement, so the analyzed run takes
-   strictly fewer CEGAR iterations. The perf gate enforces [improved]
-   whenever the baseline records this phase. *)
-let analysis_phase () =
-  let chain =
-    let module B = Circuit.Builder in
-    let b = B.create () in
-    let go = B.input b "go" in
-    let k = 6 in
-    let regs =
-      Array.init k (fun i -> B.reg b ~init:`Zero (Printf.sprintf "r%d" i))
-    in
-    for i = 0 to k - 2 do
-      B.connect b regs.(i) regs.(i + 1)
-    done;
-    B.connect b regs.(k - 1) (B.const b false);
-    B.output b "bad" (B.and2 b regs.(0) go);
-    B.finalize b
-  in
-  let prop = Property.of_output chain "bad" in
-  let g_nodes = Telemetry.gauge "bdd.live_nodes" in
-  let run analyze =
-    Telemetry.reset ();
-    Telemetry.enable ();
-    let config = { Rfn.default_config with Rfn.analyze } in
-    let outcome, stats = Rfn.verify ~config chain prop in
-    let result =
-      match outcome with
-      | Rfn.Proved -> "T"
-      | Rfn.Falsified _ -> "F"
-      | Rfn.Aborted why -> "abort: " ^ Rfn_failure.to_string why
-    in
-    (result, List.length stats.Rfn.iterations, Telemetry.gauge_peak g_nodes)
-  in
-  let r_off, it_off, nodes_off = run false in
-  let r_on, it_on, nodes_on = run true in
-  let improved =
-    r_off = r_on && (it_on < it_off || nodes_on < nodes_off)
-  in
-  Format.printf
-    "  analysis differential (const_chain6): off %s in %d iteration(s) \
-     (peak %d nodes), on %s in %d iteration(s) (peak %d nodes) — improved \
-     %b@."
-    r_off it_off nodes_off r_on it_on nodes_on improved;
-  Json.Obj
-    [
-      ("design", Json.Str "const_chain6");
-      ("result_off", Json.Str r_off);
-      ("result_on", Json.Str r_on);
-      ("iterations_off", Json.Int it_off);
-      ("iterations_on", Json.Int it_on);
-      ("peak_bdd_nodes_off", Json.Int nodes_off);
-      ("peak_bdd_nodes_on", Json.Int nodes_on);
-      ("improved", Json.Bool improved);
-    ]
-
 let bench_json ~quick () =
   section "JSON summary (BENCH_rfn.json)";
   let workloads =
@@ -487,7 +425,7 @@ let bench_json ~quick () =
   let was_enabled = Telemetry.enabled () in
   (* one inference run per distinct design (fifo carries three
      properties); invariants are facts about the design, not the
-     property, mirroring the server's design cache *)
+     property *)
   let analysis_memo = ref [] in
   let analysis_of circuit =
     match List.assq_opt circuit !analysis_memo with
@@ -618,7 +556,6 @@ let bench_json ~quick () =
   in
   let serve = serve_batch ~workloads ~cold:(List.rev !cold) () in
   let sim = sim_phase ~quick ~workloads () in
-  let analysis_diff = analysis_phase () in
   if not was_enabled then Telemetry.disable ();
   let summary =
     Json.Obj
@@ -628,7 +565,6 @@ let bench_json ~quick () =
         ("designs", Json.List rows);
         ("serve", serve);
         ("sim", sim);
-        ("analysis", analysis_diff);
       ]
   in
   let oc = open_out "BENCH_rfn.json" in
@@ -734,22 +670,6 @@ let perf_check ~baseline_file () =
           | None, _ -> fail "%s: current run lacks provenance count" name
           | _ -> ())
       baseline;
-    (match (Json.member "analysis" base, Json.member "analysis" cur) with
-    | Some _, None ->
-      fail "analysis: phase missing from current BENCH_rfn.json"
-    | Some _, Some a ->
-      (match (str "result_off" a, str "result_on" a) with
-      | Some off, Some on when off <> on ->
-        fail "analysis: --analyze changed the verdict (%S vs %S)" off on
-      | Some _, Some _ -> ()
-      | _ -> fail "analysis: current run lacks result fields");
-      (match Json.member "improved" a with
-      | Some (Json.Bool true) -> ()
-      | _ ->
-        fail
-          "analysis: the invariant care set no longer reduces iterations or \
-           peak nodes on the differential design")
-    | None, _ -> ());
     (match (Json.member "sim" base, Json.member "sim" cur) with
     | Some _, None -> fail "sim: phase missing from current BENCH_rfn.json"
     | Some _, Some s ->

@@ -20,14 +20,13 @@ let load path =
   | Failure msg -> Error msg
   | Sys_error msg -> Error msg
 
-let config_of ~max_seconds ~node_limit ~max_iterations ~analyze ~inject
-    ~checkpoint ~resume =
+let config_of ~max_seconds ~node_limit ~max_iterations ~inject ~checkpoint
+    ~resume =
   {
     Rfn.default_config with
     Rfn.max_seconds;
     node_limit;
     max_iterations;
-    analyze;
     inject;
     checkpoint;
     resume;
@@ -88,22 +87,6 @@ let teardown_telemetry ~profile =
    exception. *)
 let with_telemetry ~profile f =
   Fun.protect ~finally:(fun () -> teardown_telemetry ~profile) f
-
-(* --analyze pre-flight shared by verify, bmc and serve: infer and
-   inductively prove netlist invariants, then feed them to every
-   engine. *)
-let analyze_arg =
-  Cmdliner.Arg.(
-    value
-    & flag
-    & info [ "analyze" ]
-        ~doc:
-          "Run the static invariant-inference pre-flight (abstract \
-           interpretation + SAT sweeping, every invariant inductively \
-           proved) and feed the proven invariants to the engines: a care \
-           set for the abstract fixpoint and a don't-care filter for guided \
-           ATPG in $(b,verify) and $(b,serve), persistent clauses for the \
-           SAT unrolling of $(b,bmc --engine sat).")
 
 (* --lint pre-flight shared by verify and bmc: refuse to start an
    engine on a design the linter rejects. *)
@@ -182,7 +165,7 @@ let verify_cmd =
       & info [ "inject-faults" ] ~docv:"SITES" ~docs:Cmdliner.Manpage.s_none)
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run netlist prop seconds nodes iters analyze trace_out baseline
+  let run netlist prop seconds nodes iters trace_out baseline
       checkpoint resume inject_faults lint metrics_out chrome_trace
       profile verbose =
     setup_logs verbose;
@@ -225,7 +208,7 @@ let verify_cmd =
         with_telemetry ~profile @@ fun () ->
         let config =
           config_of ~max_seconds:seconds ~node_limit:nodes
-            ~max_iterations:iters ~analyze ~inject ~checkpoint ~resume
+            ~max_iterations:iters ~inject ~checkpoint ~resume
         in
         let outcome, stats = Rfn.verify ~config circuit property in
         Format.printf
@@ -275,8 +258,8 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Verify that an output signal can never be driven to 1.")
     Term.(
-      const run $ netlist $ prop $ seconds $ nodes $ iters $ analyze_arg
-      $ trace_out $ baseline $ checkpoint $ resume $ inject_faults $ lint_arg
+      const run $ netlist $ prop $ seconds $ nodes $ iters $ trace_out
+      $ baseline $ checkpoint $ resume $ inject_faults $ lint_arg
       $ metrics_out_arg $ trace_out_arg $ profile_arg $ verbose)
 
 (* ---- rfn coverage --------------------------------------------------- *)
@@ -365,7 +348,7 @@ let bmc_cmd =
              $(b,sat) (one incremental CNF instance across depths; \
              --max-backtracks bounds conflicts).")
   in
-  let run netlist prop depth backtracks engine analyze lint =
+  let run netlist prop depth backtracks engine lint =
     match load netlist with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
@@ -384,20 +367,6 @@ let bmc_cmd =
         let limits =
           { Rfn_atpg.Atpg.max_backtracks = backtracks; max_seconds = None }
         in
-        (* --analyze: the SAT engine consumes the proven invariants as
-           persistent clauses; plain per-depth ATPG has no clause
-           database, so there the pre-flight only reports. *)
-        let analysis =
-          if not analyze then None
-          else begin
-            let a = Analysis.run circuit in
-            Format.eprintf
-              "analysis: %d invariant(s) proved (%d candidate(s), %.2fs)@."
-              a.Analysis.stats.Analysis.proved
-              a.Analysis.stats.Analysis.candidates a.Analysis.seconds;
-            Some a
-          end
-        in
         let outcome, describe =
           match engine with
           | `Atpg ->
@@ -411,8 +380,7 @@ let bmc_cmd =
                   stats.Rfn_atpg.Atpg.backtracks )
           | `Sat ->
             let outcome, stats =
-              Rfn_core.Sat_bmc.falsify ~limits ?analysis circuit ~bad
-                ~max_depth:depth
+              Rfn_core.Sat_bmc.falsify ~limits circuit ~bad ~max_depth:depth
             in
             ( outcome,
               fun () ->
@@ -442,8 +410,7 @@ let bmc_cmd =
           sequential ATPG or incremental SAT — the baselines RFN's guided \
           search improves on.")
     Term.(
-      const run $ netlist $ prop $ depth $ backtracks $ engine $ analyze_arg
-      $ lint_arg)
+      const run $ netlist $ prop $ depth $ backtracks $ engine $ lint_arg)
 
 (* ---- rfn lint --------------------------------------------------------- *)
 
@@ -614,8 +581,7 @@ let analyze_cmd =
           ternary simulation (constant registers, implication pairs, \
           one-hot/mutex register groups) and SAT sweeping (equivalent \
           signals), prove each candidate by induction, and report only the \
-          proven ones. The same invariants feed the verification engines \
-          under $(b,verify --analyze).")
+          proven ones.")
     Term.(
       const run $ netlist $ json $ quick $ seed $ merge $ metrics_out_arg
       $ profile_arg)
@@ -675,9 +641,8 @@ let serve_cmd =
       value & opt int 4
       & info [ "max-designs" ] ~docv:"N"
           ~doc:
-            "Parsed-design LRU capacity: at most $(docv) designs (with their \
-             proved invariants) stay cached; the least-recently used is \
-             evicted beyond that.")
+            "Parsed-design LRU capacity: at most $(docv) designs stay cached; \
+             the least-recently used is evicted beyond that.")
   in
   let checkpoint_dir =
     Arg.(
@@ -691,8 +656,8 @@ let serve_cmd =
              killed jobs at their last completed refinement.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
-  let run socket max_designs checkpoint_dir analyze metrics_out chrome_trace
-      profile verbose =
+  let run socket max_designs checkpoint_dir metrics_out chrome_trace profile
+      verbose =
     setup_logs verbose;
     match setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile () with
     | Error msg ->
@@ -700,13 +665,7 @@ let serve_cmd =
       1
     | Ok () ->
       with_telemetry ~profile @@ fun () ->
-      let config =
-        config_of
-          ~max_seconds:Rfn.default_config.Rfn.max_seconds
-          ~node_limit:Rfn.default_config.Rfn.node_limit
-          ~max_iterations:Rfn.default_config.Rfn.max_iterations ~analyze
-          ~inject:None ~checkpoint:None ~resume:false
-      in
+      let config = Rfn.default_config in
       let jobs =
         match socket with
         | None ->
@@ -728,8 +687,8 @@ let serve_cmd =
           designs, and answer one result line per job (verdict, trace or \
           structured failure, per-job counters and provenance).")
     Term.(
-      const run $ socket $ max_designs $ checkpoint_dir $ analyze_arg
-      $ metrics_out_arg $ trace_out_arg $ profile_arg $ verbose)
+      const run $ socket $ max_designs $ checkpoint_dir $ metrics_out_arg
+      $ trace_out_arg $ profile_arg $ verbose)
 
 (* ---- rfn explain ---------------------------------------------------- *)
 

@@ -4,8 +4,6 @@ module Bitset = Rfn_circuit.Bitset
 module Sim3v = Rfn_sim3v.Sim3v
 module Solver = Rfn_sat.Solver
 module Cnf = Rfn_sat.Cnf
-module Bdd = Rfn_bdd.Bdd
-module Varmap = Rfn_mc.Varmap
 module Telemetry = Rfn_obs.Telemetry
 module Json = Rfn_obs.Json
 
@@ -13,8 +11,6 @@ let c_candidates = Telemetry.counter "analysis.candidates"
 let c_proved = Telemetry.counter "analysis.proved"
 let c_refuted = Telemetry.counter "analysis.refuted"
 let c_unknown = Telemetry.counter "analysis.unknown"
-let c_clauses = Telemetry.counter "analysis.clauses_added"
-let c_pruned = Telemetry.counter "analysis.pruned_queries"
 
 type invariant =
   | Const_reg of { reg : int; value : bool }
@@ -53,17 +49,11 @@ let quick_config =
     cycles = 12;
     max_equiv = 64;
     limits = { Solver.max_conflicts = 4_000; max_seconds = None };
+    max_seconds = Some 10.0;
   }
 
 type stats = { candidates : int; proved : int; refuted : int; unknown : int }
 type t = { invariants : invariant list; stats : stats; seconds : float }
-
-let empty =
-  {
-    invariants = [];
-    stats = { candidates = 0; proved = 0; refuted = 0; unknown = 0 };
-    seconds = 0.;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Invariant structure                                                 *)
@@ -360,8 +350,10 @@ let base_holds limits cnf0 inv =
    candidate [i] fails if some model of the guarded hypotheses
    falsifies one of its clauses at frame 1. A counter-model refutes
    every candidate it violates (van Eijk), then the survivors re-check
-   until a full pass holds. *)
-let induction_step limits cnf2 candidates =
+   until a full pass holds. The deadline is checked before every
+   solve: once it has passed, every still-active candidate is
+   [`Unknown] — its induction never completed, so it is not proved. *)
+let induction_step limits ~out_of_time cnf2 candidates =
   let solver = Cnf.solver cnf2 in
   let n = Array.length candidates in
   let guards =
@@ -381,6 +373,9 @@ let induction_step limits cnf2 candidates =
       candidates
   in
   let status = Array.make n `Active in
+  let expire () =
+    Array.iteri (fun j st -> if st = `Active then status.(j) <- `Unknown) status
+  in
   let refute_under_model () =
     (* the model falsifies the hypotheses of nothing at frame 0 and
        may falsify several candidates at frame 1: drop them all *)
@@ -419,6 +414,7 @@ let induction_step limits cnf2 candidates =
               | None ->
                 status.(j) <- `Refuted;
                 changed := true
+              | Some _ when out_of_time () -> expire ()
               | Some negs -> (
                 match
                   Solver.solve ~limits
@@ -531,7 +527,9 @@ let run ?(config = default_config) c =
             (* inductive step *)
             let cnf2 = Cnf.create ~free_init:true view in
             Cnf.extend cnf2 ~frames:2;
-            let status = induction_step config.limits cnf2 survivors in
+            let status =
+              induction_step config.limits ~out_of_time cnf2 survivors
+            in
             let proven = ref [] in
             Array.iteri
               (fun i inv ->
@@ -560,102 +558,8 @@ let run ?(config = default_config) c =
       })
 
 (* ------------------------------------------------------------------ *)
-(* Consumers                                                           *)
+(* Rewrites and reporting                                              *)
 (* ------------------------------------------------------------------ *)
-
-let constraint_bdd t vm =
-  let man = Varmap.man vm in
-  let lit_bdd (s, p) =
-    match Varmap.cur_var_opt vm s with
-    | None -> None
-    | Some v -> Some (if p then Bdd.var man v else Bdd.nvar man v)
-  in
-  List.fold_left
-    (fun acc inv ->
-      let in_view =
-        List.for_all
-          (fun s -> Varmap.cur_var_opt vm s <> None)
-          (signals_of inv)
-      in
-      if not in_view then acc
-      else
-        List.fold_left
-          (fun acc cls ->
-            let disj =
-              List.fold_left
-                (fun d l ->
-                  match lit_bdd l with
-                  | Some b -> Bdd.dor man d b
-                  | None -> d)
-                (Bdd.zero man) cls
-            in
-            Bdd.dand man acc disj)
-          acc (clauses_of inv))
-    (Bdd.one man) t.invariants
-
-let assume_frame t cnf ~frame =
-  let solver = Cnf.solver cnf in
-  let added = ref 0 in
-  List.iter
-    (fun inv ->
-      List.iter
-        (fun cls ->
-          let lits =
-            List.map
-              (fun (s, p) ->
-                match Cnf.lit_of_opt cnf ~frame s with
-                | Some l -> Some (if p then l else Solver.neg l)
-                | None -> None)
-              cls
-          in
-          if List.for_all Option.is_some lits then begin
-            Solver.add_clause solver (List.map Option.get lits);
-            incr added
-          end)
-        (clauses_of inv))
-    t.invariants;
-  Telemetry.add c_clauses !added;
-  !added
-
-let refutes_pins t pins =
-  (* group register pins by frame, then ask whether the pinned values
-     alone falsify some clause-set of an invariant: every clause of the
-     invariant needs at least one literal that is pinned opposite in
-     that frame... a single falsified clause suffices (the invariant is
-     a conjunction). *)
-  let by_frame = Hashtbl.create 7 in
-  List.iter
-    (fun (f, s, v) ->
-      let tbl =
-        match Hashtbl.find_opt by_frame f with
-        | Some tbl -> tbl
-        | None ->
-          let tbl = Hashtbl.create 17 in
-          Hashtbl.add by_frame f tbl;
-          tbl
-      in
-      Hashtbl.replace tbl s v)
-    pins;
-  let doomed =
-    Hashtbl.fold
-      (fun _ tbl acc ->
-        acc
-        || List.exists
-             (fun inv ->
-               List.exists
-                 (fun cls ->
-                   List.for_all
-                     (fun (s, p) ->
-                       match Hashtbl.find_opt tbl s with
-                       | Some v -> v = not p
-                       | None -> false)
-                     cls)
-                 (clauses_of inv))
-             t.invariants)
-      by_frame false
-  in
-  if doomed then Telemetry.incr c_pruned;
-  doomed
 
 let equiv_pairs t =
   List.filter_map

@@ -1,7 +1,8 @@
 (** Static invariant inference over the concrete netlist.
 
-    Runs before CEGAR starts and hands every downstream engine a set of
-    {e proven} facts about the design's reachable states:
+    A standalone tool ([rfn analyze] and the [equiv-reg] /
+    [onehot-violation] lint passes): it reports {e proven} facts about
+    the design's reachable states:
 
     - an abstract-interpretation fixpoint over a per-register product
       domain — ternary constants (generalizing the lint [const-reg]
@@ -18,14 +19,10 @@
     induction on a two-frame free-initial unrolling, iterated van
     Eijk-style (refuted candidates drop out of the hypothesis set and
     the survivors are re-checked until a full pass holds). Candidates
-    that do not survive — including solver time-outs — are dropped,
-    never trusted: {!invariants} holds proven facts only.
+    that do not survive — including solver and wall-clock time-outs —
+    are dropped, never trusted: {!invariants} holds proven facts only.
 
-    Proven invariants are consumed as constraint BDDs conjoined into
-    the abstract reachability computation ({!constraint_bdd}), as
-    persistent per-frame clauses in incremental CNF unrollings
-    ({!assume_frame}), as a don't-care filter for guided-ATPG pin cubes
-    ({!refutes_pins}), and as netlist rewrites
+    Proven equivalences can be applied as a netlist rewrite
     ({!Rfn_circuit.Opt.merge_equivalences} via {!equiv_pairs}). *)
 
 type invariant =
@@ -52,7 +49,10 @@ type config = {
   max_group : int;  (** cap on a mutex / one-hot group size *)
   max_equiv : int;  (** cap on equivalence candidates kept *)
   limits : Rfn_sat.Solver.limits;  (** per-query solver budget *)
-  max_seconds : float option;  (** whole-analysis wall-clock budget *)
+  max_seconds : float option;
+      (** whole-analysis wall-clock budget, checked before each base-case
+          candidate and before each induction solve; candidates still
+          open when it runs out count as [unknown] *)
   seed : int;  (** PRNG seed for the random patterns *)
 }
 
@@ -62,14 +62,15 @@ val default_config : config
     budget, seed 0. *)
 
 val quick_config : config
-(** Scaled-down budgets for pre-flight use (lint passes, [--analyze]
-    on small designs): 2 words, 12 cycles, 4k conflicts. *)
+(** Scaled-down budgets for the lint passes and [rfn analyze --quick]:
+    2 words, 12 cycles, 64 equivalence candidates, 4k conflicts, a 10 s
+    wall-clock budget. *)
 
 type stats = {
   candidates : int;  (** candidates submitted to the inductive check *)
   proved : int;
   refuted : int;  (** killed by a SAT counter-model *)
-  unknown : int;  (** dropped because a solver budget ran out *)
+  unknown : int;  (** dropped because a solver or wall-clock budget ran out *)
 }
 
 type t = {
@@ -82,9 +83,6 @@ val run : ?config:config -> Rfn_circuit.Circuit.t -> t
 (** Mine and inductively check invariants of the design. Bumps the
     [analysis.*] telemetry counters ([candidates], [proved], [refuted],
     [unknown]) inside an [analysis.run] span. *)
-
-val empty : t
-(** No invariants (the [--analyze]-off stand-in). *)
 
 (** {2 Invariant structure} *)
 
@@ -101,31 +99,9 @@ val describe : Rfn_circuit.Circuit.t -> invariant -> string
 val holds : t -> state:(int -> bool) -> values:(int -> bool) -> bool
 (** Do all proven invariants hold in a state? [state] values register
     signals, [values] any signal (gate equivalences read combinational
-    values). Exposed for the soundness test-suite and the [RFN_CHECK]
-    invariant checker. *)
+    values). Exposed for the soundness test-suite. *)
 
-(** {2 Consumers} *)
-
-val constraint_bdd : t -> Rfn_mc.Varmap.t -> Rfn_bdd.Bdd.t
-(** Conjunction of the invariant constraints over the varmap's
-    current-state variables. Invariants mentioning any signal without a
-    [Cur] variable in the view are skipped (the care set is a sound
-    weakening). *)
-
-val assume_frame : t -> Rfn_sat.Cnf.t -> frame:int -> int
-(** Add every invariant's clauses at [frame] to the unrolling as
-    persistent clauses (skipping clauses with a literal outside the
-    encoded view), returning the number added. Sound whenever frame
-    states of the unrolling are reachable states of the design — i.e.
-    the unrolling starts from the initial states. Bumps
-    [analysis.clauses_added]. *)
-
-val refutes_pins : t -> (int * int * bool) list -> bool
-(** Do the [(frame, signal, value)] pins contradict a proven invariant
-    within some frame? If so, no trace of the design that starts from
-    the initial states satisfies them — a guided concretization query
-    carrying such pins is doomed and may answer [Unsat] without
-    searching. Bumps [analysis.pruned_queries] when true. *)
+(** {2 Rewrites and reporting} *)
 
 val equiv_pairs : t -> (int * int * bool) list
 (** The proven equivalences as [(keep, drop, phase)] merge directives

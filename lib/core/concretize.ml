@@ -47,23 +47,11 @@ let run ~limits circuit ~bad ~frames ~pins =
       | Atpg.Unsat, stats -> (Not_found_here, stats)
       | Atpg.Abort r, stats -> (Gave_up r, stats))
 
-let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
-    ~abstract_trace =
-  let pins = trace_pins abstract_trace in
-  (* Don't-care pre-filter: the concrete search runs from the initial
-     states, so its every cycle is a reachable state; guidance pins
-     that contradict a proven invariant cannot be met by any such
-     trace — answer Unsat without searching. *)
-  let doomed =
-    match analysis with
-    | Some a -> Rfn_analysis.Analysis.refutes_pins a pins
-    | None -> false
-  in
-  if doomed then (Not_found_here, { Atpg.decisions = 0; backtracks = 0 })
-  else run ~limits circuit ~bad ~frames:(Trace.length abstract_trace) ~pins
+let guided ?(limits = Atpg.default_limits) circuit ~bad ~abstract_trace =
+  run ~limits circuit ~bad ~frames:(Trace.length abstract_trace)
+    ~pins:(trace_pins abstract_trace)
 
-let guided_any ?(limits = Atpg.default_limits) ?analysis circuit ~bad
-    ~abstract_traces =
+let guided_any ?(limits = Atpg.default_limits) circuit ~bad ~abstract_traces =
   let sum a b =
     {
       Atpg.decisions = a.Atpg.decisions + b.Atpg.decisions;
@@ -76,7 +64,7 @@ let guided_any ?(limits = Atpg.default_limits) ?analysis circuit ~bad
       ( (match gave_up with None -> Not_found_here | Some r -> Gave_up r),
         acc ))
     | t :: rest -> (
-      match guided ~limits ?analysis circuit ~bad ~abstract_trace:t with
+      match guided ~limits circuit ~bad ~abstract_trace:t with
       | Found trace, stats -> (Found trace, sum acc stats)
       | Not_found_here, stats -> go (sum acc stats) gave_up rest
       | Gave_up r, stats -> go (sum acc stats) (Some r) rest)

@@ -17,21 +17,16 @@ type outcome =
 
 val guided :
   ?limits:Rfn_atpg.Atpg.limits ->
-  ?analysis:Rfn_analysis.Analysis.t ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
   abstract_trace:Rfn_circuit.Trace.t ->
   outcome * Rfn_atpg.Atpg.stats
-(** [analysis] supplies proven reachable-state invariants as a
-    don't-care filter: a guidance cube pinning registers to a
-    combination that contradicts a proven invariant cannot concretize
-    (every cycle of the concrete search is a reachable state), so the
-    query answers [Not_found_here] without searching — counted as
-    [analysis.pruned_queries]. *)
+(** Search for a concrete error trace of [Trace.length abstract_trace]
+    cycles that meets the abstract trace's per-cycle literals and
+    reaches [bad] in its last cycle. *)
 
 val guided_any :
   ?limits:Rfn_atpg.Atpg.limits ->
-  ?analysis:Rfn_analysis.Analysis.t ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
   abstract_traces:Rfn_circuit.Trace.t list ->

@@ -29,11 +29,6 @@ type config = {
   abstract_atpg : Atpg.limits;
   concrete_atpg : Atpg.limits;
   guidance_traces : int;
-  analyze : bool;
-      (* run the static invariant-inference pre-flight
-         (Rfn_analysis.Analysis) once per session and feed the proven
-         invariants to the loop: a care set for the abstract fixpoint
-         and a don't-care filter for guided ATPG *)
   supervisor : Supervisor.policy;
   inject : (Supervisor.site -> Supervisor.fault option) option;
   session : Session.policy;
@@ -58,7 +53,6 @@ let default_config =
     abstract_atpg = { Atpg.max_backtracks = 50_000; max_seconds = Some 20.0 };
     concrete_atpg = { Atpg.max_backtracks = 200_000; max_seconds = Some 60.0 };
     guidance_traces = 1;
-    analyze = false;
     supervisor = Supervisor.default_policy;
     inject = None;
     session = Session.default_policy;
@@ -104,30 +98,6 @@ let verify_in_session ?(config = default_config) session prop =
      budget; any manager a previous property left behind is dropped. *)
   Session.retarget session ~node_limit:config.node_limit
     ~roots:(Property.roots prop);
-  (* Static pre-flight: infer and inductively prove reachable-state
-     invariants on the concrete netlist, once per session (a seeded or
-     retargeted session reuses the earlier result — the invariants are
-     facts about the design, not the property). Every consumer below
-     only sees *proved* invariants, so analysis can only prune work,
-     never change a verdict. *)
-  let analysis =
-    if not config.analyze then None
-    else
-      match Session.analysis session with
-      | Some a -> Some a
-      | None ->
-        let a =
-          Telemetry.with_span "rfn.analyze" (fun () ->
-              Rfn_analysis.Analysis.run circuit)
-        in
-        Session.set_analysis session a;
-        Log.info (fun m ->
-            m "analysis: %d invariant(s) proved (%d candidates) in %.2fs"
-              a.Rfn_analysis.Analysis.stats.Rfn_analysis.Analysis.proved
-              a.Rfn_analysis.Analysis.stats.Rfn_analysis.Analysis.candidates
-              a.Rfn_analysis.Analysis.seconds);
-        Some a
-  in
   let sup =
     Supervisor.start ?inject:config.inject config.supervisor
       ~max_seconds:config.max_seconds
@@ -340,19 +310,9 @@ let verify_in_session ?(config = default_config) session prop =
           let { Session.vm; fn; img } = prep () in
           let init = Symbolic.initial_states vm in
           let bad_states = Reach.bad_predicate vm ~fn ~bad in
-          (* Proven invariants as a care set: concretely reachable
-             states all satisfy them, so restricting the abstract
-             exploration to the invariant region is sound for Proved
-             verdicts (and a Reached trace is still concretization-
-             validated before it can become Falsified). *)
-          let care =
-            match analysis with
-            | None -> None
-            | Some a -> Some (Rfn_analysis.Analysis.constraint_bdd a vm)
-          in
           let res =
             Reach.run ~max_steps:config.mc_max_steps
-              ?max_seconds:(time_left ()) ?care img ~vm ~init ~bad_states
+              ?max_seconds:(time_left ()) img ~vm ~init ~bad_states
           in
           (vm, fn, res)
         with
@@ -505,7 +465,7 @@ let verify_in_session ?(config = default_config) session prop =
               match
                 Concretize.guided_any
                   ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                  ?analysis circuit ~bad ~abstract_traces:guidance
+                  circuit ~bad ~abstract_traces:guidance
               with
               | Concretize.Gave_up r, _ -> Error r
               | outcome, _ -> Ok outcome

@@ -46,17 +46,6 @@ type config = {
       (** how many abstract error traces to extract and try as guidance
           for the concrete search (default 1; values above 1 implement
           the paper's future-work multi-trace guidance) *)
-  analyze : bool;
-      (** run the static invariant-inference pre-flight
-          ({!Rfn_analysis.Analysis.run}) on the concrete netlist before
-          the loop, once per session (a session seeded with
-          {!Session.set_analysis} reuses the result — invariants are
-          facts about the design, not the property).
-          The inductively *proved* invariants then feed the loop: a
-          care-set restriction of the abstract fixpoint and a
-          reachability don't-care filter for guided ATPG. Unproven
-          candidates are never consumed, so the verdict cannot change —
-          only the work to reach it. Default [false] *)
   supervisor : Supervisor.policy;
       (** retry/escalation/fallback and deadline-sharing knobs *)
   inject : (Supervisor.site -> Supervisor.fault option) option;
@@ -148,8 +137,8 @@ val verify_in_session :
 (** Run the four-step loop for one property on an existing session.
     The session is first retargeted ({!Session.retarget}) to the
     property's roots under the config's [node_limit], which drops any
-    manager an earlier property left; only a cached analysis carries
-    over. Verdicts never depend on what the session ran before. *)
+    manager an earlier property left. Verdicts never depend on what the
+    session ran before. *)
 
 val verify :
   ?config:config ->

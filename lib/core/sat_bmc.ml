@@ -14,18 +14,6 @@ let limits_of_atpg (l : Atpg.limits) =
   { Solver.max_conflicts = l.Atpg.max_backtracks;
     max_seconds = l.Atpg.max_seconds }
 
-(* Persistent invariant clauses: the unrolling starts from the
-   initial states (frame-0 registers clamped), so every frame holds a
-   reachable state and the proven invariants may be asserted at each
-   newly encoded frame. *)
-let assume_invariants analysis unr ~from =
-  match analysis with
-  | None -> ()
-  | Some a ->
-    for f = from to Cnf.frames unr - 1 do
-      ignore (Rfn_analysis.Analysis.assume_frame a unr ~frame:f)
-    done
-
 (* CNF sanity under RFN_CHECK. A violation is on the check.* counters
    and the sink; the caller degrades it into a give-up. *)
 let unrolling_ok unr =
@@ -35,7 +23,7 @@ let unrolling_ok unr =
   | () -> true
   | exception Check.Violation _ -> false
 
-let falsify ?(limits = Atpg.default_limits) ?analysis circuit ~bad ~max_depth =
+let falsify ?(limits = Atpg.default_limits) circuit ~bad ~max_depth =
   Telemetry.incr c_falsify;
   let view = Sview.whole circuit ~roots:[ bad ] in
   let unr = Cnf.create view in
@@ -44,9 +32,7 @@ let falsify ?(limits = Atpg.default_limits) ?analysis circuit ~bad ~max_depth =
   let rec deepen depth =
     if depth > max_depth then (Bmc.Exhausted, Solver.stats solver)
     else begin
-      let encoded = Cnf.frames unr in
       Cnf.extend unr ~frames:depth;
-      assume_invariants analysis unr ~from:encoded;
       if not (unrolling_ok unr) then (Bmc.Gave_up depth, Solver.stats solver)
       else
         let target = Cnf.lit_of unr ~frame:(depth - 1) bad in

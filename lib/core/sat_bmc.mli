@@ -13,7 +13,6 @@
 
 val falsify :
   ?limits:Rfn_atpg.Atpg.limits ->
-  ?analysis:Rfn_analysis.Analysis.t ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
   max_depth:int ->
@@ -23,10 +22,4 @@ val falsify :
     counterexample and is validated by concrete replay before being
     reported. Statistics are the solver's lifetime totals for this
     instance. [limits] maps onto the solver: backtracks become
-    conflicts one-for-one, the wall-clock budget carries over.
-
-    [analysis] asserts the proven invariants as persistent clauses at
-    every encoded frame ({!Rfn_analysis.Analysis.assume_frame}) —
-    sound because the unrolling starts from the initial states, so
-    every frame holds a reachable state. The clauses prune the search
-    without removing any genuine counterexample. *)
+    conflicts one-for-one, the wall-clock budget carries over. *)

@@ -33,10 +33,6 @@ type t = {
   cache : Image.cache;
   mutable prepared : prepared option;
   mutable grew : bool;  (* an in-place grow since the last prepare *)
-  mutable analysis : Rfn_analysis.Analysis.t option;
-      (* concrete-design invariants, computed once per session (or
-         handed in by the caller) and reused across retargets: they
-         are facts about the circuit, not about any abstraction *)
 }
 
 let create ?(node_limit = max_int) ?(policy = default_policy) circuit ~roots =
@@ -49,12 +45,9 @@ let create ?(node_limit = max_int) ?(policy = default_policy) circuit ~roots =
     cache = Image.cache ();
     prepared = None;
     grew = false;
-    analysis = None;
   }
 
 let abstraction t = t.abstraction
-let analysis t = t.analysis
-let set_analysis t a = t.analysis <- Some a
 let circuit t = t.abstraction.Abstraction.circuit
 let policy t = t.policy
 let varmap t = t.vm
@@ -80,7 +73,7 @@ let reset ?node_limit t =
 (* Point the session at a different property of the same circuit: the
    abstraction restarts from the new roots' initial view and the
    manager is dropped, so a retargeted run is bit-identical to a cold
-   one. Only the design-level analysis survives. *)
+   one. *)
 let retarget ?node_limit t ~roots =
   Telemetry.incr c_retargets;
   (match node_limit with Some l -> t.node_limit <- l | None -> ());

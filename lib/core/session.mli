@@ -74,17 +74,6 @@ val varmap : t -> Rfn_mc.Varmap.t option
 (** The session's current varmap, if one has been built — the
     [RFN_CHECK] invariant checker's view into the shared state. *)
 
-val analysis : t -> Rfn_analysis.Analysis.t option
-(** The concrete-design invariants cached on the session, if the
-    [--analyze] pre-flight has run or a caller seeded them with
-    {!set_analysis}. Invariants are facts about the circuit, not about
-    any abstraction, so they survive {!retarget}. *)
-
-val set_analysis : t -> Rfn_analysis.Analysis.t -> unit
-(** Seed the session with invariants proved earlier for the same
-    circuit — the serve layer's design cache hands each job's fresh
-    session the design's analysis this way. *)
-
 val cone_signals : t -> int list
 (** Signals holding a compiled cone in the session memo (the
     [Rfn_lint.Check.cone_cache] input). Total over the view's inside
@@ -119,6 +108,5 @@ val retarget : ?node_limit:int -> t -> roots:int list -> unit
     new roots, [node_limit] (when given) replaces the session's node
     budget, and the manager is dropped with every per-manager
     structure, so the retargeted run is bit-identical to a cold one.
-    BDD state is carried only {e within} one CEGAR run; the cached
-    {!analysis} is the one thing that survives. Counted as
-    [session.retargets]. *)
+    BDD state is carried only {e within} one CEGAR run; nothing
+    survives. Counted as [session.retargets]. *)

@@ -31,7 +31,11 @@ let finding ~pass ~severity ?(signals = []) message =
   { pass; severity; signals; message }
 
 type report = { findings : finding list; passes_run : string list }
-type ctx = { circuit : Circuit.t; props : Property.t list }
+type ctx = {
+  circuit : Circuit.t;
+  props : Property.t list;
+  analysis : Analysis.t Lazy.t;
+}
 type pass = { name : string; doc : string; run : ctx -> finding list }
 
 (* ---- registry -------------------------------------------------------- *)
@@ -240,8 +244,8 @@ let pass_duplicate_gate =
 
 (* Both passes below consume Rfn_analysis invariants, which are
    inductively *proved* before they are reported — no finding here
-   rests on a simulation guess. The quick configuration keeps the
-   mining/proving budget at lint latencies. *)
+   rests on a simulation guess. They share the run's one quick-budget
+   analysis ([ctx.analysis]). *)
 
 let is_reg c s =
   match Circuit.node c s with Circuit.Reg _ -> true | _ -> false
@@ -251,10 +255,9 @@ let pass_equiv_reg =
     name = "equiv-reg";
     doc = "registers inductively proved equivalent to an earlier signal";
     run =
-      (fun { circuit = c; _ } ->
+      (fun { circuit = c; analysis; _ } ->
         if Array.length c.Circuit.registers = 0 then []
         else
-          let a = Analysis.run ~config:Analysis.quick_config c in
           List.filter_map
             (fun inv ->
               match inv with
@@ -269,7 +272,7 @@ let pass_equiv_reg =
                         (if phase then "the complement of " else "")
                         (Circuit.name c keep)))
               | _ -> None)
-            a.Analysis.invariants);
+            (Lazy.force analysis).Analysis.invariants);
   }
 
 let pass_onehot_violation =
@@ -279,16 +282,15 @@ let pass_onehot_violation =
       "properties that can only fire by violating a proven one-hot/mutex \
        register group";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; analysis } ->
         if props = [] || Array.length c.Circuit.registers = 0 then []
         else begin
-          let a = Analysis.run ~config:Analysis.quick_config c in
           let groups =
             List.filter
               (function
                 | Analysis.Mutex _ | Analysis.One_hot _ -> true
                 | _ -> false)
-              a.Analysis.invariants
+              (Lazy.force analysis).Analysis.invariants
           in
           if groups = [] then []
           else begin
@@ -462,7 +464,13 @@ let run ?only ?(props = []) circuit =
         names;
       List.filter (fun p -> List.mem p.name names) all
   in
-  let ctx = { circuit; props } in
+  let ctx =
+    {
+      circuit;
+      props;
+      analysis = lazy (Analysis.run ~config:Analysis.quick_config circuit);
+    }
+  in
   let findings = List.concat_map (fun p -> p.run ctx) selected in
   let findings =
     List.stable_sort

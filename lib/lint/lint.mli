@@ -25,7 +25,8 @@
     - [duplicate-gate] (info) — structurally identical named gates
       (same kind, same fanins) that hash-consing could not merge;
     - [equiv-reg] (warning) — registers the invariant-inference engine
-      ({!Rfn_analysis.Analysis}, quick budget) inductively {e proved}
+      ({!Rfn_analysis.Analysis}, quick budget, run once per {!run} and
+      shared with [onehot-violation]) inductively {e proved}
       equal (or antivalent) to an earlier signal in every reachable
       state — redundant state that {!Rfn_circuit.Opt.merge_equivalences}
       could fold away;
@@ -70,6 +71,10 @@ type report = {
 type ctx = {
   circuit : Rfn_circuit.Circuit.t;
   props : Rfn_circuit.Property.t list;
+  analysis : Rfn_analysis.Analysis.t Lazy.t;
+      (** the circuit's invariants under
+          {!Rfn_analysis.Analysis.quick_config}, computed on first use
+          and shared by every pass of one {!run} *)
 }
 
 type pass = {

@@ -23,15 +23,9 @@ let bad_predicate vm ~fn ~bad =
   let man = Varmap.man vm in
   Bdd.exists man (Varmap.inp_vars vm) (fn bad)
 
-let run ?(max_steps = max_int) ?max_seconds ?(stop_at_bad = true) ?care img ~vm
-    ~init ~bad_states =
+let run ?(max_steps = max_int) ?max_seconds ?(stop_at_bad = true) img ~vm ~init
+    ~bad_states =
   let man = Varmap.man vm in
-  let restrict =
-    match care with
-    | None -> fun set -> set
-    | Some care -> fun set -> Bdd.dand man set care
-  in
-  let init = restrict init in
   let started = Telemetry.now () in
   let elapsed () = Telemetry.now () -. started in
   let over_time () =
@@ -67,18 +61,8 @@ let run ?(max_steps = max_int) ?max_seconds ?(stop_at_bad = true) ?care img ~vm
         if
           Bdd.node_limit man < max_int
           && 4 * Bdd.num_nodes man > 3 * Bdd.node_limit man
-        then begin
-          let roots =
-            match care with
-            | Some c -> c :: reached :: bad_states :: !rings
-            | None -> reached :: bad_states :: !rings
-          in
-          Bdd.gc man ~roots
-        end;
-        match
-          let image = Image.post img frontier in
-          Bdd.diff man (restrict image) reached
-        with
+        then Bdd.gc man ~roots:(reached :: bad_states :: !rings);
+        match Bdd.diff man (Image.post img frontier) reached with
         | exception Bdd.Limit_exceeded ->
           finish (Aborted Rfn_failure.Nodes) step reached
         | fresh ->

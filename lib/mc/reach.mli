@@ -33,7 +33,6 @@ val run :
   ?max_steps:int ->
   ?max_seconds:float ->
   ?stop_at_bad:bool ->
-  ?care:Rfn_bdd.Bdd.t ->
   Image.t ->
   vm:Varmap.t ->
   init:Rfn_bdd.Bdd.t ->
@@ -44,16 +43,7 @@ val run :
     [stop_at_bad:false] (default [true]) the fixpoint keeps running
     after touching the target states — coverage analysis wants the
     complete reachable set for its projection argument and the first
-    touching ring for trace extraction.
-
-    [care] restricts the exploration to a care set over current-state
-    variables: the initial states and every ring are conjoined with it.
-    Sound when every state the caller asks about satisfies [care] —
-    the static-analysis pre-flight passes the proven-invariant
-    constraint ({!Rfn_analysis} via the core layer), which every
-    concretely reachable state satisfies, so a [Proved] outcome on the
-    restricted abstract system implies one on the unrestricted
-    concrete design. *)
+    touching ring for trace extraction. *)
 
 val bad_predicate : Varmap.t -> fn:(int -> Rfn_bdd.Bdd.t) -> bad:int -> Rfn_bdd.Bdd.t
 (** The target-state predicate of an unreachability property: states

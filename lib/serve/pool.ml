@@ -8,13 +8,11 @@ let c_parsed = Telemetry.counter "serve.designs_parsed"
 let c_reused = Telemetry.counter "serve.designs_reused"
 let c_evicted = Telemetry.counter "serve.designs_evicted"
 
-type design = {
-  circuit : Rfn_circuit.Circuit.t;
-  mutable analysis : Rfn_analysis.Analysis.t option;
-}
-
 (* Most-recently used first; digests are unique. *)
-type t = { max_designs : int; mutable entries : (string * design) list }
+type t = {
+  max_designs : int;
+  mutable entries : (string * Rfn_circuit.Circuit.t) list;
+}
 
 let create ?(max_designs = 4) () =
   { max_designs = max 1 max_designs; entries = [] }
@@ -33,7 +31,7 @@ let acquire t ~digest ~parse =
     t.entries <- (digest, d) :: List.remove_assoc digest t.entries;
     d
   | None ->
-    let d = { circuit = parse (); analysis = None } in
+    let d = parse () in
     Telemetry.incr c_parsed;
     t.entries <- (digest, d) :: t.entries;
     (* one entry in, at most one out: the LRU sits at [max_designs] *)

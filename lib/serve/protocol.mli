@@ -6,7 +6,7 @@
     {"op":"submit","id":"j1","design":"fifo.bench","property":"psh_hf"}
     {"op":"submit","id":"j2","netlist":"INPUT(a)\n...","property":"bad",
      "max_iterations":32,"node_limit":500000,"mc_max_steps":200,
-     "max_seconds":60.0,"analyze":true}
+     "max_seconds":60.0}
     {"op":"status"}            {"op":"status","id":"j1"}
     {"op":"cancel","id":"j1"}
     {"op":"shutdown"}
@@ -30,9 +30,10 @@ type budget = {
   mc_max_steps : int option;
   max_seconds : float option;
   analyze : bool option;
-      (** run the static invariant-inference pre-flight before the
-          loop; the design cache ({!Pool}) means one analysis serves
-          every job on the same design *)
+      (** retired: accepted on the wire and ignored. Proven invariants
+          no longer feed the loop; [rfn analyze] runs the inference as
+          a standalone tool. Kept so that older clients' batches still
+          parse *)
 }
 (** Per-job overrides of the server's base config; [None] fields
     inherit. *)

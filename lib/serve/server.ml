@@ -3,7 +3,6 @@ module Json = Rfn_obs.Json
 module Telemetry = Rfn_obs.Telemetry
 module Provenance = Rfn_obs.Provenance
 module Rfn = Rfn_core.Rfn
-module Session = Rfn_core.Session
 module Codec = Rfn_proc.Codec
 module F = Rfn_failure
 
@@ -59,7 +58,7 @@ let fill r =
 type job = {
   id : string;
   digest : string;
-  design : Pool.design;
+  circuit : Rfn_circuit.Circuit.t;
   prop_name : string;
   budget : Protocol.budget;
 }
@@ -112,9 +111,9 @@ let submit st (s : Protocol.submit) =
     emit st (error_event ~id:s.id (Printf.sprintf "duplicate job id %S" s.id))
   else
     match
-      let digest, design = resolve_design st s.design in
-      ignore (Property.of_output design.Pool.circuit s.property);
-      { id = s.id; digest; design; prop_name = s.property; budget = s.budget }
+      let digest, circuit = resolve_design st s.design in
+      ignore (Property.of_output circuit s.property);
+      { id = s.id; digest; circuit; prop_name = s.property; budget = s.budget }
     with
     | exception Sys_error msg -> emit st (error_event ~id:s.id msg)
     | exception Failure msg -> emit st (error_event ~id:s.id msg)
@@ -205,7 +204,6 @@ let config_of_job st (j : job) =
       (match b.Protocol.max_seconds with
       | Some s -> Some s
       | None -> st.base.Rfn.max_seconds);
-    analyze = pick b.Protocol.analyze st.base.Rfn.analyze;
     checkpoint;
     resume;
   }
@@ -213,15 +211,14 @@ let config_of_job st (j : job) =
 let run_job st (j : job) =
   Hashtbl.replace st.states j.id "running";
   let config = config_of_job st j in
-  let circuit = j.design.Pool.circuit in
+  let circuit = j.circuit in
   let prop = Property.of_output circuit j.prop_name in
   let scope = Telemetry.scope () in
   let saved_context = Telemetry.context () in
   Telemetry.set_context (("job", Json.Str j.id) :: saved_context);
   (* a fresh session per job, dropped after it; only the design's
-     parse and its proved invariants carry over *)
+     parse carries over *)
   let session = Rfn.prepare ~config circuit ~roots:(Property.roots prop) in
-  Option.iter (Session.set_analysis session) j.design.Pool.analysis;
   Log.info (fun m -> m "job %s: %s" j.id j.prop_name);
   let verdict_fields =
     Fun.protect
@@ -229,8 +226,6 @@ let run_job st (j : job) =
       (fun () ->
         match Rfn.verify_in_session ~config session prop with
         | outcome, stats ->
-          if j.design.Pool.analysis = None then
-            j.design.Pool.analysis <- Session.analysis session;
           let verdict, extra =
             match outcome with
             | Rfn.Proved -> ("proved", [])

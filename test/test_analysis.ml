@@ -1,17 +1,10 @@
 (* Invariant inference (Rfn_analysis): mining + inductive-proving
-   units, soundness against brute-force reachability, the
-   merge-equivalences rewrite, and the end-to-end differential — every
-   zoo verdict and counterexample is identical with --analyze on and
-   off, across the engine matrix and under chaos. *)
+   units, the wall-clock budget, soundness against brute-force
+   reachability, and the merge-equivalences rewrite. *)
 
 open Rfn_circuit
 module B = Circuit.Builder
 module Analysis = Rfn_analysis.Analysis
-module Rfn = Rfn_core.Rfn
-module Concretize = Rfn_core.Concretize
-module Sat_bmc = Rfn_core.Sat_bmc
-module Bmc = Rfn_core.Bmc
-module Supervisor = Rfn_core.Supervisor
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built designs                                                  *)
@@ -134,21 +127,35 @@ let test_unproven_dropped () =
   Alcotest.(check bool) "r0 certainly not stuck at 1" false
     (has_const a r0 true)
 
-(* refutes_pins: pins contradicting a proven constant are doomed in
-   that frame; agreeing pins are not. *)
-let test_refutes_pins () =
-  let c = const_chain_design ~k:2 in
-  let a = Analysis.run c in
-  let r0 = Circuit.find c "r0" in
+(* The wall-clock budget bounds the induction step too. On the full
+   picoJava cluster mining and the base case take well under 0.1 s and
+   the unbudgeted induction several seconds, so a 0.5 s budget runs out
+   inside induction: the run stops near the budget, and every candidate
+   still open is unknown, never proved. On a machine slow enough to
+   spend the budget before induction starts, the same assertions hold
+   (every survivor is unknown). *)
+let test_budget_expires_in_induction () =
+  let c = (Rfn_designs.Picojava_iu.make ()).Rfn_designs.Picojava_iu.circuit in
+  let budget = 0.5 in
+  let a =
+    Analysis.run
+      ~config:{ Analysis.default_config with max_seconds = Some budget }
+      c
+  in
+  let st = a.Analysis.stats in
   Alcotest.(check bool)
-    "pinning r0=1 contradicts the proven constant" true
-    (Analysis.refutes_pins a [ (0, r0, true) ]);
+    (Printf.sprintf "stops near the budget (%.2fs for %.2fs)" a.Analysis.seconds
+       budget)
+    true
+    (a.Analysis.seconds < budget +. 2.5);
   Alcotest.(check bool)
-    "pinning r0=0 is consistent" false
-    (Analysis.refutes_pins a [ (0, r0, false) ]);
-  Alcotest.(check bool)
-    "a later frame still refutes" true
-    (Analysis.refutes_pins a [ (3, r0, true); (0, r0, false) ])
+    (Printf.sprintf "open candidates are unknown (%d)" st.Analysis.unknown)
+    true (st.Analysis.unknown > 0);
+  Alcotest.(check int) "nothing is proved" 0 st.Analysis.proved;
+  Alcotest.(check int) "no invariant reported" 0
+    (List.length a.Analysis.invariants);
+  Alcotest.(check int) "every candidate accounted for" st.Analysis.candidates
+    (st.Analysis.proved + st.Analysis.refuted + st.Analysis.unknown)
 
 (* ------------------------------------------------------------------ *)
 (* Soundness: every reported invariant holds in every reachable state  *)
@@ -305,165 +312,6 @@ let test_consumers_see_proved_only () =
         (Rfn_designs.Fifo.(make ~params:small ())).Rfn_designs.Fifo.circuit );
     ]
 
-(* A hand-forged report with a *wrong* invariant would prune a
-   genuinely reachable pin — exactly what must never happen, and what
-   [run]'s output (validated wholesale by the soundness suite above)
-   is guaranteed not to do. *)
-let test_wrong_invariant_would_mislead () =
-  let c = Helpers.counter_design ~width:2 ~limit:3 in
-  let r0 = c.Circuit.registers.(0) in
-  let forged =
-    {
-      Analysis.invariants = [ Analysis.Const_reg { reg = r0; value = false } ];
-      stats = { Analysis.candidates = 1; proved = 1; refuted = 0; unknown = 0 };
-      seconds = 0.0;
-    }
-  in
-  Alcotest.(check bool)
-    "the forged fact refutes a reachable pin" true
-    (Analysis.refutes_pins forged [ (1, r0, true) ]);
-  let real = Analysis.run c in
-  Alcotest.(check bool)
-    "the proved facts keep the reachable pin" false
-    (Analysis.refutes_pins real [ (1, r0, true) ])
-
-(* ------------------------------------------------------------------ *)
-(* Engine differential: --analyze must not change verdicts or traces   *)
-(* ------------------------------------------------------------------ *)
-
-let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  [
-    ("const_chain/bad", const_chain_design ~k:6, "bad");
-    ("ring/collide", ring_design (), "collide");
-    ("arbiter/bad", Helpers.arbiter_design (), "bad");
-    ("counter3/at_limit", Helpers.counter_design ~width:3 ~limit:7, "at_limit");
-    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad");
-    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf.Property.name);
-    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full.Property.name);
-  ]
-
-let trace_repr c t = Format.asprintf "%a" (Trace.pp ~names:(Circuit.name c)) t
-
-(* [mk_config] builds a fresh config per run so a chaos injection hook
-   (which faults each site once per hook) is not half-consumed by the
-   first run. Injection defaults to off, not to RFN_INJECT_FAULTS, so
-   the plain differential stays deterministic under the chaos CI job. *)
-let check_parity name mk_config circuit prop =
-  let run analyze =
-    let config = { (mk_config ()) with Rfn.analyze } in
-    fst (Rfn.verify ~config circuit prop)
-  in
-  let off = run false in
-  let on = run true in
-  match (off, on) with
-  | Rfn.Proved, Rfn.Proved -> ()
-  | Rfn.Falsified t0, Rfn.Falsified t1 ->
-    Alcotest.(check string)
-      (name ^ ": identical counterexample")
-      (trace_repr circuit t0) (trace_repr circuit t1)
-  | Rfn.Aborted _, Rfn.Aborted _ -> ()
-  | o0, o1 ->
-    let show = function
-      | Rfn.Proved -> "Proved"
-      | Rfn.Falsified t -> Printf.sprintf "Falsified(len %d)" (Trace.length t)
-      | Rfn.Aborted f -> "Aborted: " ^ Rfn_failure.to_string f
-    in
-    Alcotest.failf "%s: verdicts diverge: off=%s on=%s" name (show o0)
-      (show o1)
-
-let base_config ?(inject = Some (fun _ -> None)) () =
-  { Rfn.default_config with Rfn.inject; max_iterations = 32 }
-
-let test_verify_parity_zoo () =
-  List.iter
-    (fun (name, circuit, out) ->
-      check_parity name (fun () -> base_config ()) circuit
-        (Property.of_output circuit out))
-    (zoo ())
-
-let test_verify_parity_chaos () =
-  (* all-site fault injection: the supervisor ladders recover and the
-     analyze differential still holds *)
-  List.iter
-    (fun (name, circuit, out) ->
-      let prop = Property.of_output circuit out in
-      check_parity (name ^ "[chaos]")
-        (fun () ->
-          base_config ~inject:(Supervisor.inject_of_spec "all") ())
-        circuit prop)
-    [
-      ("arbiter/bad", Helpers.arbiter_design (), "bad");
-      ("deep_bug2/bad", Helpers.deep_bug_design ~width:2, "bad");
-    ]
-
-let test_sat_bmc_with_invariants () =
-  List.iter
-    (fun (name, circuit, out) ->
-      let bad = Circuit.output circuit out in
-      let a = Analysis.run circuit in
-      let plain, _ = Sat_bmc.falsify circuit ~bad ~max_depth:10 in
-      let with_inv, _ =
-        Sat_bmc.falsify ~analysis:a circuit ~bad ~max_depth:10
-      in
-      match (plain, with_inv) with
-      | Bmc.Found t0, Bmc.Found t1 ->
-        Alcotest.(check int)
-          (name ^ ": same counterexample depth with invariant clauses")
-          (Trace.length t0) (Trace.length t1)
-      | Bmc.Exhausted, Bmc.Exhausted -> ()
-      | Bmc.Gave_up _, Bmc.Gave_up _ -> ()
-      | _ -> Alcotest.failf "%s: Sat_bmc outcome changed under invariants" name)
-    (zoo ())
-
-let test_guided_prefilter_short_circuits () =
-  let c = const_chain_design ~k:3 in
-  let bad = Circuit.output c "bad" in
-  let a = Analysis.run c in
-  let r0 = Circuit.find c "r0" in
-  (* guidance pinning r0=1 contradicts the proven stuck-at-0 *)
-  let doomed =
-    Trace.make
-      ~states:[| Cube.of_list [ (r0, true) ] |]
-      ~inputs:[| Cube.empty |]
-  in
-  (match Concretize.guided ~analysis:a c ~bad ~abstract_trace:doomed with
-  | Concretize.Not_found_here, stats ->
-    Alcotest.(check int) "no search happened" 0 stats.Rfn_atpg.Atpg.decisions
-  | _ -> Alcotest.fail "doomed guidance should answer Not_found_here");
-  (* consistent guidance searches normally (and finds nothing: bad
-     needs r0=1) *)
-  let fine =
-    Trace.make
-      ~states:[| Cube.of_list [ (r0, false) ] |]
-      ~inputs:[| Cube.empty |]
-  in
-  match Concretize.guided ~analysis:a c ~bad ~abstract_trace:fine with
-  | Concretize.Not_found_here, _ -> ()
-  | _ -> Alcotest.fail "consistent guidance searches normally"
-
-(* The bench differential's claim, asserted as a test: on the constant
-   chain the invariant care set closes the abstract fixpoint without
-   any refinement, so --analyze takes strictly fewer CEGAR
-   iterations. *)
-let test_const_chain_fewer_iterations () =
-  let c = const_chain_design ~k:6 in
-  let prop = Property.of_output c "bad" in
-  let run analyze =
-    match
-      Rfn.verify
-        ~config:{ (base_config ()) with Rfn.analyze }
-        c prop
-    with
-    | Rfn.Proved, stats -> List.length stats.Rfn.iterations
-    | _ -> Alcotest.fail "const chain must prove"
-  in
-  let off = run false and on = run true in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer iterations with analysis (%d < %d)" on off)
-    true (on < off)
-
 let tests =
   [
     Alcotest.test_case "constant chain proved" `Quick test_const_chain;
@@ -471,25 +319,14 @@ let tests =
     Alcotest.test_case "token ring one-hot" `Quick test_ring_one_hot;
     Alcotest.test_case "non-inductive candidate dropped" `Quick
       test_unproven_dropped;
-    Alcotest.test_case "refutes_pins" `Quick test_refutes_pins;
+    Alcotest.test_case "budget expires inside induction" `Quick
+      test_budget_expires_in_induction;
     Alcotest.test_case "soundness on the zoo" `Quick test_soundness_zoo;
     QCheck_alcotest.to_alcotest qcheck_soundness;
     QCheck_alcotest.to_alcotest qcheck_merge_preserves_outputs;
     Alcotest.test_case "merge on the twin design" `Quick test_merge_twin;
     Alcotest.test_case "consumers see proved facts only" `Quick
       test_consumers_see_proved_only;
-    Alcotest.test_case "a leaked refuted fact would mislead" `Quick
-      test_wrong_invariant_would_mislead;
-    Alcotest.test_case "verify parity on the zoo" `Quick
-      test_verify_parity_zoo;
-    Alcotest.test_case "verify parity under chaos" `Quick
-      test_verify_parity_chaos;
-    Alcotest.test_case "sat-bmc parity with invariant clauses" `Quick
-      test_sat_bmc_with_invariants;
-    Alcotest.test_case "guided pre-filter short-circuit" `Quick
-      test_guided_prefilter_short_circuits;
-    Alcotest.test_case "const chain: strictly fewer iterations" `Quick
-      test_const_chain_fewer_iterations;
   ]
 
 let () = Alcotest.run "analysis" [ ("analysis", tests) ]

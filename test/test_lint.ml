@@ -10,6 +10,7 @@ module Check = Rfn_lint.Check
 module Varmap = Rfn_mc.Varmap
 module Cnf = Rfn_sat.Cnf
 module Rfn = Rfn_core.Rfn
+module Telemetry = Rfn_obs.Telemetry
 
 let report_lines ?only c props =
   let report = Lint.run ?only ~props c in
@@ -156,6 +157,41 @@ let test_equiv_reg () =
   | fs ->
     Alcotest.failf "expected exactly one equiv-reg warning, got %d"
       (List.length fs)
+
+(* The two invariant-backed passes share one analysis: a lint run with
+   both records a single [analysis.run] span (each pass used to run its
+   own, doubling lint time on large designs). A token ring with a twin
+   register gives each pass something to find. *)
+let test_one_analysis_per_run () =
+  let b = B.create () in
+  let s0 = B.reg b ~init:`One "s0" in
+  let s1 = B.reg b ~init:`Zero "s1" in
+  let s2 = B.reg b ~init:`Zero "s2" in
+  let twin = B.reg b ~init:`Zero "twin" in
+  B.connect b s0 s2;
+  B.connect b s1 s0;
+  B.connect b s2 s1;
+  B.connect b twin s0;
+  B.output b "collide"
+    (B.gate b ~name:"collide" Gate.Or
+       [| B.and2 b s0 s1; B.and2 b s0 s2; B.and2 b s1 s2 |]);
+  B.output b "twins" (B.and2 b s1 twin);
+  let c = B.finalize b in
+  let props = [ Property.of_output c "collide" ] in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let report =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Lint.run ~only:[ "equiv-reg"; "onehot-violation" ] ~props c)
+  in
+  let found pass =
+    List.exists (fun f -> f.Lint.pass = pass) report.Lint.findings
+  in
+  Alcotest.(check bool) "equiv-reg found the twin" true (found "equiv-reg");
+  Alcotest.(check bool) "onehot-violation found the collision" true
+    (found "onehot-violation");
+  Alcotest.(check (option int)) "one analysis.run span" (Some 1)
+    (Option.map fst (Telemetry.span_stats "analysis.run"))
 
 (* ---- golden reports -------------------------------------------------- *)
 
@@ -378,6 +414,8 @@ let tests =
       test_onehot_violation;
     Alcotest.test_case "equiv-reg flags redundant state" `Quick
       test_equiv_reg;
+    Alcotest.test_case "one analysis per lint run" `Quick
+      test_one_analysis_per_run;
     Alcotest.test_case "golden: arbiter" `Quick test_golden_arbiter;
     Alcotest.test_case "golden: counter" `Quick test_golden_counter;
     Alcotest.test_case "golden: deep bug" `Quick test_golden_deep_bug;

@@ -346,10 +346,10 @@ let test_server_aiger_design () =
           (Option.value ~default:"?" (str "verdict" r)))
     [ "from-file"; "inline" ]
 
-(* The design cache carries the [--analyze] invariants: only the first
-   analyze job on a design runs the inference, the next one is seeded
-   with its result. *)
-let test_server_analysis_cached () =
+(* ["analyze"] is a retired submit key: older clients still send it,
+   so it is acknowledged and ignored. The job runs no invariant
+   inference and gets the verdict the same job gets without the key. *)
+let test_server_analyze_key_ignored () =
   let c, _ = counter_prop () in
   let budget = { Protocol.no_budget with Protocol.analyze = Some true } in
   Telemetry.reset ();
@@ -358,24 +358,27 @@ let test_server_analysis_cached () =
     Fun.protect ~finally:Telemetry.disable (fun () ->
         run_server
           [
-            submit_line ~budget "j1" c "at_limit";
-            submit_line ~budget "j2" c "at_limit";
+            submit_line ~budget "with-key" c "at_limit";
+            submit_line "without-key" c "at_limit";
             {|{"op":"shutdown"}|};
           ])
   in
-  let candidates id =
+  let acked id = List.exists (fun j -> ev j = "ack" && sid j = id) events in
+  let result id =
     match List.find_opt (fun j -> ev j = "result" && sid j = id) events with
     | None -> Alcotest.fail (id ^ ": no result line")
-    | Some r -> (
-      let counters = Json.member "counters" r in
-      match Option.bind counters (Json.member "analysis.candidates") with
-      | Some (Json.Int n) -> n
-      | _ -> 0)
+    | Some r -> r
   in
-  Alcotest.(check bool)
-    "first job runs the analysis" true
-    (candidates "j1" > 0);
-  Alcotest.(check int) "second job reuses it" 0 (candidates "j2")
+  Alcotest.(check bool) "the submit carrying the key is acknowledged" true
+    (acked "with-key");
+  let with_key = result "with-key" in
+  Alcotest.(check bool) "no analysis ran" true
+    (Option.bind (Json.member "counters" with_key)
+       (Json.member "analysis.candidates")
+    = None);
+  Alcotest.(check (option string)) "same verdict as without the key"
+    (str "verdict" (result "without-key"))
+    (str "verdict" with_key)
 
 (* Regression: the design cache used to key [File] submissions by path,
    so an interactive client that edited its design between two submits
@@ -567,8 +570,8 @@ let () =
           Alcotest.test_case "aiger-designs" `Quick test_server_aiger_design;
           Alcotest.test_case "edited-file-reread" `Quick
             test_server_rereads_edited_file;
-          Alcotest.test_case "analysis-cached" `Quick
-            test_server_analysis_cached;
+          Alcotest.test_case "analyze-key-ignored" `Quick
+            test_server_analyze_key_ignored;
           Alcotest.test_case "batch-matches-cold" `Slow
             test_batch_matches_cold;
         ] );
