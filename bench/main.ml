@@ -384,8 +384,7 @@ let bench_json ~quick () =
   let atpg_counters =
     List.map
       (fun name -> (name, Telemetry.counter ("atpg." ^ name)))
-      [ "scoap_cache_hits"; "scoap_cache_misses"; "random_sat";
-        "random_rounds" ]
+      [ "scoap_cache_hits"; "scoap_cache_misses" ]
   in
   let h_image = Telemetry.histogram "mc.image_seconds" in
   let sat_counters =

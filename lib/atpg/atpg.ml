@@ -1,6 +1,5 @@
 open Rfn_circuit
 module Telemetry = Rfn_obs.Telemetry
-module Packed = Rfn_sim3v.Sim3v.Packed
 
 let c_decisions = Telemetry.counter "atpg.decisions"
 let c_backtracks = Telemetry.counter "atpg.backtracks"
@@ -8,8 +7,6 @@ let c_solves = Telemetry.counter "atpg.solves"
 let c_aborts = Telemetry.counter "atpg.aborts"
 let c_scoap_hits = Telemetry.counter "atpg.scoap_cache_hits"
 let c_scoap_misses = Telemetry.counter "atpg.scoap_cache_misses"
-let c_random_sat = Telemetry.counter "atpg.random_sat"
-let c_random_rounds = Telemetry.counter "atpg.random_rounds"
 
 type answer = Sat of Trace.t | Unsat | Abort of Rfn_failure.resource
 type stats = { decisions : int; backtracks : int }
@@ -348,103 +345,6 @@ let extract_trace sol =
   in
   Trace.make ~states ~inputs
 
-(* Random-pattern phase: before the branch-and-backtrace search, throw
-   [Packed.lanes] random concrete patterns per round at the unrolled
-   frames with one word-wide simulation pass. Pinned free cells are
-   splatted to their pinned value, every other free cell gets an
-   independent random bit per lane; a lane satisfying every objective
-   yields a Sat trace with zero decisions. The phase can only conclude
-   Sat — Unsat/Abort always come from the complete search. *)
-let random_rounds = 4
-
-let extract_packed_trace sol vecs ~lane =
-  let concrete arr f =
-    Cube.of_list
-      (Array.to_list arr
-      |> List.filter_map (fun s ->
-             match Packed.read_lane vecs.(f) s ~lane with
-             | Rfn_sim3v.Sim3v.V0 -> Some (s, false)
-             | Rfn_sim3v.Sim3v.V1 -> Some (s, true)
-             | Rfn_sim3v.Sim3v.VX -> None))
-  in
-  let states = Array.init sol.k (concrete sol.view.Sview.regs) in
-  let inputs = Array.init sol.k (concrete sol.view.Sview.free_inputs) in
-  Trace.make ~states ~inputs
-
-let random_patterns sol =
-  let view = sol.view in
-  let c = view.Sview.circuit in
-  (* Deterministic xorshift so solves stay reproducible. *)
-  let seed = ref 0x2545f4914f6cdd1d in
-  let rand_word () =
-    let x = !seed in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    seed := x;
-    x
-  in
-  let splat_cell f s =
-    match Bytes.get sol.values (cell_of sol f s) with
-    | cv when cv = v0 -> Some (Packed.splat Rfn_sim3v.Sim3v.V0)
-    | cv when cv = v1 -> Some (Packed.splat Rfn_sim3v.Sim3v.V1)
-    | _ -> None
-  in
-  let run_round () =
-    let init r =
-      match splat_cell 0 r with
-      | Some w -> w
-      | None ->
-        if is_free_cell sol 0 r then { Packed.ones = rand_word (); unks = 0 }
-        else
-          Packed.splat
-            (match Circuit.node c r with
-            | Circuit.Reg { init = `Zero; _ } -> Rfn_sim3v.Sim3v.V0
-            | Circuit.Reg { init = `One; _ } -> Rfn_sim3v.Sim3v.V1
-            | _ -> Rfn_sim3v.Sim3v.VX)
-    in
-    let state = ref init in
-    let vecs =
-      Array.init sol.k (fun f ->
-          let free s =
-            match splat_cell f s with
-            | Some w -> w
-            | None -> { Packed.ones = rand_word (); unks = 0 }
-          in
-          let vec, next = Packed.step view ~free ~state:!state in
-          state := next;
-          vec)
-    in
-    let mask = ref (-1) in
-    List.iter
-      (fun (cell, v) ->
-        if !mask <> 0 then begin
-          let f = frame_of sol cell and s = sig_of sol cell in
-          let ones = vecs.(f).Packed.vones.(s)
-          and unks = vecs.(f).Packed.vunks.(s) in
-          let sat = if v then ones else lnot (ones lor unks) in
-          mask := !mask land sat
-        end)
-      sol.objectives;
-    if !mask = 0 then None
-    else begin
-      let rec lsb i m = if m land 1 = 1 then i else lsb (i + 1) (m lsr 1) in
-      Some (extract_packed_trace sol vecs ~lane:(lsb 0 !mask))
-    end
-  in
-  let rec go round =
-    if round >= random_rounds then None
-    else begin
-      Telemetry.incr c_random_rounds;
-      match run_round () with
-      | Some trace ->
-        Telemetry.incr c_random_sat;
-        Some trace
-      | None -> go (round + 1)
-    end
-  in
-  go 0
-
 exception Stop of answer
 
 let time_exceeded sol =
@@ -503,8 +403,8 @@ let search sol =
     loop ()
   with Stop a -> a
 
-let solve ?(free_init = false) ?(random_phase = true)
-    ?(limits = default_limits) view ~frames ~pins () =
+let solve ?(free_init = false) ?(limits = default_limits) view ~frames ~pins
+    () =
   if frames < 1 then invalid_arg "Atpg.solve: frames < 1";
   let c = view.Sview.circuit in
   let nsig = Circuit.num_signals c in
@@ -564,15 +464,7 @@ let solve ?(free_init = false) ?(random_phase = true)
     if !contradiction then Unsat
     else begin
       propagate sol !seeds;
-      (* Try cheap word-parallel random patterns before committing to
-         the backtracking search; only still-open objectives warrant
-         it, and only Sat can come out of it. *)
-      match check_objectives sol with
-      | Pending _ when random_phase -> (
-        match random_patterns sol with
-        | Some trace -> Sat trace
-        | None -> search sol)
-      | Pending _ | All_sat | Conflict -> search sol
+      search sol
     end
   in
   Telemetry.incr c_solves;

@@ -47,7 +47,6 @@ val default_limits : limits
 
 val solve :
   ?free_init:bool ->
-  ?random_phase:bool ->
   ?limits:limits ->
   Rfn_circuit.Sview.t ->
   frames:int ->
@@ -57,14 +56,4 @@ val solve :
 (** [solve view ~frames ~pins ()] searches for an assignment to the
     free variables of the [frames]-fold unrolling of [view] satisfying
     every pin. Raises [Invalid_argument] on an out-of-range frame, a
-    pin on a signal outside the view, or [frames < 1].
-
-    [random_phase] (default [true]) first throws
-    [Sim3v.Packed.lanes]-wide random concrete patterns at the unrolled
-    frames; a lane satisfying every pin answers [Sat] with zero
-    decisions. Traces found this way assign {e every} free variable, so
-    callers that depend on near-minimal satisfying assignments — the
-    hybrid engine's cube-extension queries, whose partial cubes steer
-    guided concretization — must pass [~random_phase:false]. Verdicts
-    are unaffected either way: the phase can only conclude [Sat], and
-    only when a genuine witness exists. *)
+    pin on a signal outside the view, or [frames < 1]. *)

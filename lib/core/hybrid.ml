@@ -118,12 +118,8 @@ and extract ?(atpg_limits = Atpg.default_limits) ?(max_cube_tries = 64)
      literals are root assignments, internal literals objectives). *)
   let extend_cube lits =
     let pins = List.map (fun (s, b) -> (0, s, b)) lits in
-    (* ~random_phase:false: the extracted cube's partial assignment
-       guides concretization; a fully-random satisfying lane would
-       overconstrain the guided pins downstream. *)
     match
-      Atpg.solve ~free_init:true ~random_phase:false ~limits:atpg_limits view
-        ~frames:1 ~pins ()
+      Atpg.solve ~free_init:true ~limits:atpg_limits view ~frames:1 ~pins ()
     with
     | Atpg.Sat t, _ -> Some (Trace.state t 0, Trace.input t 0)
     | (Atpg.Unsat | Atpg.Abort _), _ -> None

@@ -35,6 +35,7 @@ type ctx = {
   circuit : Circuit.t;
   props : Property.t list;
   analysis : Analysis.t Lazy.t;
+  ternary : Sim3v.v array Lazy.t;
 }
 type pass = { name : string; doc : string; run : ctx -> finding list }
 
@@ -67,7 +68,9 @@ let prop_root props s = List.exists (fun p -> p.Property.bad = s) props
 (* Ternary values of every signal in the reachable states' constant
    over-approximation: registers stuck at their initial value
    ([Opt.constant_registers]) hold it, every other register and primary
-   input is X. A concrete entry is a true structural constant. *)
+   input is X. A concrete entry is a true structural constant. Computed
+   at most once per run and shared by [const-reg] and [prop-const]
+   ([ctx.ternary]). *)
 let ternary_fixpoint c =
   let stuck = Rfn_circuit.Opt.constant_registers c in
   let state r =
@@ -89,8 +92,8 @@ let pass_const_reg =
     name = "const-reg";
     doc = "registers whose next-state input is structurally constant";
     run =
-      (fun { circuit = c; _ } ->
-        let values = ternary_fixpoint c in
+      (fun { circuit = c; ternary; _ } ->
+        let values = Lazy.force ternary in
         Array.to_list c.Circuit.registers
         |> List.filter_map (fun r ->
                match Circuit.node c r with
@@ -282,7 +285,7 @@ let pass_onehot_violation =
       "properties that can only fire by violating a proven one-hot/mutex \
        register group";
     run =
-      (fun { circuit = c; props; analysis } ->
+      (fun { circuit = c; props; analysis; _ } ->
         if props = [] || Array.length c.Circuit.registers = 0 then []
         else begin
           let groups =
@@ -363,10 +366,10 @@ let pass_prop_const =
     name = "prop-const";
     doc = "structurally constant property signals (vacuous verification)";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; ternary; _ } ->
         if props = [] then []
         else begin
-          let values = ternary_fixpoint c in
+          let values = Lazy.force ternary in
           List.filter_map
             (fun p ->
               let bad = p.Property.bad in
@@ -469,6 +472,10 @@ let run ?only ?(props = []) circuit =
       circuit;
       props;
       analysis = lazy (Analysis.run ~config:Analysis.quick_config circuit);
+      ternary =
+        lazy
+          (Telemetry.with_span "lint.ternary" (fun () ->
+               ternary_fixpoint circuit));
     }
   in
   let findings = List.concat_map (fun p -> p.run ctx) selected in

@@ -75,6 +75,12 @@ type ctx = {
       (** the circuit's invariants under
           {!Rfn_analysis.Analysis.quick_config}, computed on first use
           and shared by every pass of one {!run} *)
+  ternary : Rfn_sim3v.Sim3v.v array Lazy.t;
+      (** per-signal ternary values under the constant-register
+          fixpoint (stuck registers hold their initial value, every
+          other register and input is X), computed on first use inside
+          a [lint.ternary] span and shared by [const-reg] and
+          [prop-const] *)
 }
 
 type pass = {

@@ -42,7 +42,9 @@ val step :
     Lanes fill the native int ([Sys.int_size] = 63 bits on 64-bit
     hosts) so no per-gate boxing or masking occurs. Semantics are
     lane-wise identical to the scalar evaluator above, which remains
-    the differential oracle. *)
+    the differential oracle. Consumers: {!replay_concrete}, Step-4
+    candidate simulation, coverage reachability marking and invariant
+    mining. ATPG implication stays scalar and event-driven. *)
 module Packed : sig
   val lanes : int
 

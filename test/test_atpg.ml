@@ -235,36 +235,29 @@ let test_scoap_cache () =
     "no extra miss for a cached shape" m1
     (Telemetry.counter_value misses)
 
-(* ---- random-pattern pre-pass ---------------------------------------- *)
+(* ---- one search path ------------------------------------------------ *)
 
-let test_random_phase () =
-  (* bad = i0 OR i1: a random lane almost surely satisfies it, so the
-     pre-pass answers without a single branch decision *)
+let test_search_only () =
+  (* bad = i0 OR i1: branch-and-backtrace answers it, and a solve runs
+     no packed simulation *)
   let b = B.create () in
   let i0 = B.input b "i0" and i1 = B.input b "i1" in
   B.output b "bad" (B.or2 b i0 i1);
   let c = B.finalize b in
   let bad = Circuit.output c "bad" in
   let view = Sview.whole c ~roots:[ bad ] in
-  let c_rsat = Telemetry.counter "atpg.random_sat" in
-  let r0 = Telemetry.counter_value c_rsat in
+  let packed_words = Telemetry.counter "sim.packed_words" in
+  let w0 = Telemetry.counter_value packed_words in
   (match Atpg.solve view ~frames:1 ~pins:[ (0, bad, true) ] () with
-  | Atpg.Sat t, stats ->
-    Alcotest.(check int) "no decisions needed" 0 stats.Atpg.decisions;
-    Alcotest.(check bool)
-      "found by the random phase" true
-      (Telemetry.counter_value c_rsat > r0);
-    (* the packed lane is a genuine witness *)
+  | Atpg.Sat t, _ ->
     let assign s = Cube.value (Trace.input t 0) s = Some true in
     let values = Circuit.eval c ~input:assign ~state:assign in
     Alcotest.(check bool) "witness drives bad" true values.(bad)
   | (Atpg.Unsat | Atpg.Abort _), _ ->
     Alcotest.fail "or-of-inputs should be satisfiable");
-  (* with the pre-pass off the search must still conclude, and Unsat
-     objectives are never misreported by random lanes *)
-  (match Atpg.solve ~random_phase:false view ~frames:1 ~pins:[ (0, bad, true) ] () with
-  | Atpg.Sat _, _ -> ()
-  | _ -> Alcotest.fail "search alone should also satisfy");
+  Alcotest.(check int)
+    "no packed simulation inside a solve" w0
+    (Telemetry.counter_value packed_words);
   match
     Atpg.solve view ~frames:1 ~pins:[ (0, i0, true); (0, bad, false) ] ()
   with
@@ -276,7 +269,7 @@ let tests =
     comb_vs_bdd;
     seq_vs_explicit;
     Alcotest.test_case "scoap cache" `Quick test_scoap_cache;
-    Alcotest.test_case "random-pattern phase" `Quick test_random_phase;
+    Alcotest.test_case "search-only solve" `Quick test_search_only;
     Alcotest.test_case "pins on free inputs" `Quick test_pin_on_free_input;
     Alcotest.test_case "contradictory pins" `Quick test_contradictory_root_pins;
     Alcotest.test_case "frame-0 objectives" `Quick

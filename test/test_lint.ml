@@ -193,6 +193,29 @@ let test_one_analysis_per_run () =
   Alcotest.(check (option int)) "one analysis.run span" (Some 1)
     (Option.map fst (Telemetry.span_stats "analysis.run"))
 
+(* [const-reg] and [prop-const] share one ternary fixpoint: a lint run
+   with both records a single [lint.ternary] span. On the full processor
+   the fixpoint takes seconds, so computing it per pass would double
+   that. *)
+let test_one_ternary_per_run () =
+  let c = acceptance_design () in
+  let props = [ Property.of_output c "bad" ] in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let report =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Lint.run ~only:[ "const-reg"; "prop-const" ] ~props c)
+  in
+  let found pass =
+    List.exists (fun f -> f.Lint.pass = pass) report.Lint.findings
+  in
+  Alcotest.(check bool) "const-reg found the stuck register" true
+    (found "const-reg");
+  Alcotest.(check bool) "prop-const found the constant property" true
+    (found "prop-const");
+  Alcotest.(check (option int)) "one lint.ternary span" (Some 1)
+    (Option.map fst (Telemetry.span_stats "lint.ternary"))
+
 (* ---- golden reports -------------------------------------------------- *)
 
 let golden name actual expected =
@@ -416,6 +439,8 @@ let tests =
       test_equiv_reg;
     Alcotest.test_case "one analysis per lint run" `Quick
       test_one_analysis_per_run;
+    Alcotest.test_case "one ternary fixpoint per lint run" `Quick
+      test_one_ternary_per_run;
     Alcotest.test_case "golden: arbiter" `Quick test_golden_arbiter;
     Alcotest.test_case "golden: counter" `Quick test_golden_counter;
     Alcotest.test_case "golden: deep bug" `Quick test_golden_deep_bug;
